@@ -39,12 +39,13 @@ from .core import (
     fingerprint_scenario,
     parse_scenario,
     parse_transcript,
+    select_ego,
     serialize_scenario,
     serialize_transcript,
     transcript_hash,
     validate_scenario,
 )
-from .decision import parse_scores, render_decision_prompt, select
+from .decision import parse_scores, render_decision_prompt
 from .ego_agent import (
     EgoTurnContext,
     FinalAnswer,
@@ -61,8 +62,6 @@ from .memory import (
     MemoryIndexError,
     build_index,
     cosine_similarity,
-    load_index_cache,
-    save_index_cache,
     search_top_k,
 )
 from .orchestrator import (

@@ -121,8 +121,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, help="override the retrieval fan-out")
     p.add_argument("--budget", type=int, help="override the search budget")
     p.add_argument("--max-turns", type=int, help="override the turn limit")
-    p.add_argument("--parallel", action="store_true",
-                   help="run the three ego turns on a thread pool")
 
 
 def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
@@ -195,9 +193,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_scenario(args)
     provider, embedder = _build_backend(args)
     run_log = RunLog()
-    transcript = run_simulation(
-        cfg, provider, embedder, run_log=run_log, parallel_egos=args.parallel
-    )
+    transcript = run_simulation(cfg, provider, embedder, run_log=run_log)
     for u in transcript.utterances:
         print(_summary_line(u))
     _finish_run(transcript, args, run_log)
@@ -224,7 +220,6 @@ def cmd_interactive(args: argparse.Namespace) -> int:
         run_log=run_log,
         human_agent=args.play_as,
         input_fn=input,
-        parallel_egos=args.parallel,
         on_utterance=show,
     )
     _finish_run(transcript, args, run_log)

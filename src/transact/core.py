@@ -233,10 +233,6 @@ class Utterance:
         if chosen.text != self.text:
             raise ValueError("utterance text must equal the chosen candidate's text")
 
-    @property
-    def decision_rationale(self) -> str:
-        return self.decision.rationale
-
     def candidate(self, ego: EgoState) -> EgoResponse:
         return next(c for c in self.candidates if c.ego_state is ego)
 

@@ -44,10 +44,6 @@ class MalformedDecisionError(ValueError):
     """The scoring reply is missing a SCORES line for some ego state."""
 
 
-# Reuse core's selection rule so decisions and transcript audits can never drift.
-select = select_ego
-
-
 def render_decision_prompt(
     candidates: Sequence[EgoResponse],
     history: tuple[tuple[str, str], ...],
@@ -157,7 +153,7 @@ def decide(
         scores = _fallback_scores()
         rationale = FALLBACK_RATIONALE
         logger.warning("decision fallback to Adult for %s turn %d", agent, turn)
-    chosen = select(scores, weights)
+    chosen = select_ego(scores, weights)
     log.record("decision", agent=agent, turn=turn, chosen=chosen.value)
     return DecisionRecord(
         scores=scores, weights=weights, chosen=chosen, rationale=rationale, human=False

@@ -11,14 +11,12 @@ concurrent searches need no locking.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Protocol, Sequence
 
-from .core import EgoState, MemoryRecord, canonical_json
+from .core import EgoState, MemoryRecord
 
 
 class MemoryIndexError(ValueError):
@@ -138,88 +136,3 @@ def search_top_k(
     scored = [(rec, cosine_similarity(q, vec)) for rec, vec in idx.entries]
     scored.sort(key=lambda pair: (-pair[1], pair[0].id))
     return scored[:k]
-
-
-# ---------------------------------------------------------------------------
-# Optional on-disk cache of built indices, keyed by (scenario fingerprint,
-# embedder id). Plain canonical JSON; a key mismatch is a miss, not an error.
-# ---------------------------------------------------------------------------
-
-
-def save_index_cache(
-    path: str | Path,
-    indices: Sequence[MemoryIndex],
-    *,
-    scenario_fingerprint: str,
-    embedder_id: str,
-) -> None:
-    tree = {
-        "scenario_fingerprint": scenario_fingerprint,
-        "embedder": embedder_id,
-        "indices": [
-            {
-                "agent": idx.agent,
-                "ego_state": idx.ego_state.value,
-                "dim": idx.dim,
-                "entries": [
-                    {
-                        "record": {
-                            "id": rec.id,
-                            "context": rec.context,
-                            "reaction": rec.reaction,
-                            "emotions": list(rec.emotions),
-                            "tone": rec.tone,
-                            "ego_state": rec.ego_state.value,
-                        },
-                        "vector": list(vec.values),
-                    }
-                    for rec, vec in idx.entries
-                ],
-            }
-            for idx in indices
-        ],
-    }
-    Path(path).write_text(canonical_json(tree), encoding="utf-8")
-
-
-def load_index_cache(
-    path: str | Path,
-    *,
-    scenario_fingerprint: str,
-    embedder_id: str,
-) -> list[MemoryIndex] | None:
-    """Load cached indices, or None when the file is absent or keyed differently."""
-    p = Path(path)
-    if not p.exists():
-        return None
-    tree = json.loads(p.read_text(encoding="utf-8"))
-    if (
-        tree.get("scenario_fingerprint") != scenario_fingerprint
-        or tree.get("embedder") != embedder_id
-    ):
-        return None
-    out = []
-    for node in tree["indices"]:
-        entries = tuple(
-            (
-                MemoryRecord(
-                    id=e["record"]["id"],
-                    context=e["record"]["context"],
-                    reaction=e["record"]["reaction"],
-                    emotions=tuple(e["record"]["emotions"]),
-                    tone=e["record"]["tone"],
-                    ego_state=EgoState(e["record"]["ego_state"]),
-                ),
-                EmbeddingVector(tuple(float(x) for x in e["vector"])),
-            )
-            for e in node["entries"]
-        )
-        out.append(
-            MemoryIndex(
-                agent=node["agent"],
-                ego_state=EgoState(node["ego_state"]),
-                entries=entries,
-                dim=node["dim"],
-            )
-        )
-    return out

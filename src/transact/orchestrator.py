@@ -9,10 +9,7 @@ see each other's life scripts, memories, or losing candidates.
 from __future__ import annotations
 
 import logging
-import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping
 
 from .core import (
@@ -32,7 +29,7 @@ from .core import (
 )
 from .decision import decide
 from .ego_agent import EgoTurnContext, run_ego_turn
-from .memory import Embedder, MemoryIndex, build_index, load_index_cache, save_index_cache
+from .memory import Embedder, MemoryIndex, build_index
 from .provider import ProviderStopSignal
 from .runlog import RunLog
 
@@ -66,15 +63,10 @@ class RunState:
     utterances: list[Utterance] = field(default_factory=list)
     speaker: str = ""
     turn: int = 0
-    rng: random.Random = field(default_factory=random.Random)
 
     @classmethod
     def start(cls, scenario: ScenarioConfig) -> "RunState":
-        return cls(
-            scenario=scenario,
-            speaker=scenario.first_speaker,
-            rng=random.Random(scenario.seed),
-        )
+        return cls(scenario=scenario, speaker=scenario.first_speaker)
 
 
 def check_termination(state: RunState) -> TerminationReason | None:
@@ -84,33 +76,14 @@ def check_termination(state: RunState) -> TerminationReason | None:
     return None
 
 
-def build_indices(
-    cfg: ScenarioConfig,
-    embedder: Embedder,
-    *,
-    cache_path: str | Path | None = None,
-) -> dict[PartitionKey, MemoryIndex]:
-    """Build (or load from the optional cache) all six partition indices."""
-    fingerprint = fingerprint_scenario(cfg)
-    if cache_path is not None:
-        cached = load_index_cache(
-            cache_path, scenario_fingerprint=fingerprint, embedder_id=embedder.id
-        )
-        if cached is not None:
-            return {(idx.agent, idx.ego_state): idx for idx in cached}
+def build_indices(cfg: ScenarioConfig, embedder: Embedder) -> dict[PartitionKey, MemoryIndex]:
+    """Build all six partition indices."""
     indices: dict[PartitionKey, MemoryIndex] = {}
     for agent in cfg.agents:
         for persona in agent.personas:
             indices[(agent.name, persona.ego_state)] = build_index(
                 persona.memories, embedder, agent=agent.name, ego_state=persona.ego_state
             )
-    if cache_path is not None:
-        save_index_cache(
-            cache_path,
-            list(indices.values()),
-            scenario_fingerprint=fingerprint,
-            embedder_id=embedder.id,
-        )
     return indices
 
 
@@ -121,12 +94,10 @@ def step_turn(
     indices: Mapping[PartitionKey, MemoryIndex],
     *,
     run_log: RunLog | None = None,
-    executor: ThreadPoolExecutor | None = None,
 ) -> Utterance:
     """Run one full turn for the current speaker and append it to the state.
 
-    The three ego turns share only immutable context; with an executor they
-    run concurrently and the result is identical to sequential execution.
+    The three ego turns run in EGO_ORDER and share only immutable context.
     """
     if state.turn >= state.scenario.max_turns:
         raise ValueError(f"turn counter {state.turn} has reached max_turns")
@@ -135,7 +106,8 @@ def step_turn(
     agent = cfg.agent(state.speaker)
     history = tuple((u.speaker, u.text) for u in state.utterances)
 
-    def run_one(ego: EgoState):
+    outcomes = []
+    for ego in EGO_ORDER:
         ctx = EgoTurnContext(
             agent=agent.name,
             turn=state.turn,
@@ -145,12 +117,9 @@ def step_turn(
             tool_budget=cfg.tool_budget,
             k=cfg.k,
         )
-        return run_ego_turn(ctx, ego, indices[(agent.name, ego)], provider, embedder, log)
-
-    if executor is not None:
-        outcomes = list(executor.map(run_one, EGO_ORDER))
-    else:
-        outcomes = [run_one(ego) for ego in EGO_ORDER]
+        outcomes.append(
+            run_ego_turn(ctx, ego, indices[(agent.name, ego)], provider, embedder, log)
+        )
 
     candidates = tuple(o.response for o in outcomes)
     decision = decide(
@@ -237,8 +206,6 @@ def run_simulation(
     run_log: RunLog | None = None,
     human_agent: str | None = None,
     input_fn: Callable[[str], str] | None = None,
-    parallel_egos: bool = False,
-    index_cache_path: str | Path | None = None,
     on_utterance: Callable[[Utterance], None] | None = None,
 ) -> Transcript:
     """Run a whole scenario and return its transcript.
@@ -260,7 +227,7 @@ def run_simulation(
     if hasattr(provider, "attach_run_log"):
         provider.attach_run_log(log)
     fingerprint = fingerprint_scenario(cfg)
-    indices = build_indices(cfg, embedder, cache_path=index_cache_path)
+    indices = build_indices(cfg, embedder)
     provider_id = ProviderId(kind=provider.kind, model=provider.model, embedder=embedder.id)
     state = RunState.start(cfg)
 
@@ -273,30 +240,21 @@ def run_simulation(
             termination_reason=reason,
         )
 
-    executor: ThreadPoolExecutor | None = None
-    if parallel_egos:
-        executor = ThreadPoolExecutor(max_workers=len(EGO_ORDER), thread_name_prefix="ego")
-    try:
-        while check_termination(state) is None:
-            log.record("turn_start", turn=state.turn, speaker=state.speaker)
-            try:
-                if human_agent is not None and state.speaker == human_agent:
-                    assert input_fn is not None
-                    utterance = _human_turn(state, input_fn, log)
-                else:
-                    utterance = step_turn(
-                        state, provider, embedder, indices, run_log=log, executor=executor
-                    )
-                if on_utterance is not None:
-                    on_utterance(utterance)
-            except (ProviderStopSignal, EOFError):
-                logger.info("provider layer stopped the run at turn %d", state.turn)
-                return snapshot(TerminationReason.PROVIDER_STOP)
-            except Exception as e:
-                raise SimulationError(
-                    f"turn {state.turn} ({state.speaker}) failed: {e}", snapshot(None), e
-                ) from e
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    while check_termination(state) is None:
+        log.record("turn_start", turn=state.turn, speaker=state.speaker)
+        try:
+            if human_agent is not None and state.speaker == human_agent:
+                assert input_fn is not None
+                utterance = _human_turn(state, input_fn, log)
+            else:
+                utterance = step_turn(state, provider, embedder, indices, run_log=log)
+            if on_utterance is not None:
+                on_utterance(utterance)
+        except (ProviderStopSignal, EOFError):
+            logger.info("provider layer stopped the run at turn %d", state.turn)
+            return snapshot(TerminationReason.PROVIDER_STOP)
+        except Exception as e:
+            raise SimulationError(
+                f"turn {state.turn} ({state.speaker}) failed: {e}", snapshot(None), e
+            ) from e
     return snapshot(TerminationReason.MAX_TURNS)

@@ -55,7 +55,6 @@ class Role(Enum):
     SYSTEM = "system"
     ASSISTANT = "assistant"
     USER = "user"
-    TOOL = "tool"
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class ChatMessage:
     content: str
 
     def __post_init__(self) -> None:
-        if not self.content and self.role is not Role.TOOL:
+        if not self.content:
             raise ValueError(f"{self.role.value} message content must be non-empty")
 
 
@@ -154,8 +153,8 @@ class ScriptedProvider:
     """Replays fixture completions from keyed FIFO queues.
 
     Queues are keyed "agent/role" (role is an ego-state label or "decision"),
-    so the replay order is robust to the three ego turns running in any
-    interleaving. An exhausted queue fails loudly, naming the caller.
+    so each caller's replies replay in file order whatever the other callers
+    consumed. An exhausted queue fails loudly, naming the caller.
     """
 
     kind = "scripted"

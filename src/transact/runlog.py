@@ -13,7 +13,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class RunLog:
-    """Append-only event list, safe to share across ego-turn threads."""
+    """Append-only event list, safe to share across threads."""
 
     events: list[dict] = field(default_factory=list)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)

@@ -38,12 +38,12 @@ from transact.core import (
     MemoryRecord,
     parse_scenario,
     parse_transcript,
+    select_ego,
     serialize_scenario,
     serialize_transcript,
     transcript_hash,
     validate_scenario,
 )
-from transact.decision import select
 from transact.memory import build_index, search_top_k
 from transact.orchestrator import run_simulation
 from transact.provider import HashEmbedder, ScriptedProvider, load_fixtures
@@ -147,12 +147,12 @@ def test_criterion_4_decision_argmax():
         raw = [rng.random() + 0.01 for _ in range(4)]
         total = sum(raw)
         weights = DecisionWeights(*(w / total for w in raw))
-        assert select(scores, weights) is select_oracle(scores, weights)
+        assert select_ego(scores, weights) is select_oracle(scores, weights)
     equal = {ego: CriterionScores(6, 6, 6, 6) for ego in EGO_ORDER}
     for trial in range(50):
         raw = [rng.random() + 0.01 for _ in range(4)]
         total = sum(raw)
-        assert select(equal, DecisionWeights(*(w / total for w in raw))) is EgoState.ADULT
+        assert select_ego(equal, DecisionWeights(*(w / total for w in raw))) is EgoState.ADULT
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"argmax check took {elapsed:.3f}s"
     announce(4, f"1000 tables + 50 all-equal cases match the enumerator in {elapsed:.3f}s")

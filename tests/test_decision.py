@@ -8,14 +8,20 @@ import random
 import pytest
 
 from helpers import scores_reply, select_oracle
-from transact.core import CriterionScores, DecisionWeights, EGO_ORDER, EgoResponse, EgoState
+from transact.core import (
+    CriterionScores,
+    DecisionWeights,
+    EGO_ORDER,
+    EgoResponse,
+    EgoState,
+    select_ego,
+)
 from transact.decision import (
     FALLBACK_RATIONALE,
     MalformedDecisionError,
     decide,
     parse_scores,
     render_decision_prompt,
-    select,
 )
 from transact.provider import ScriptedProvider
 
@@ -137,16 +143,16 @@ EQUAL = DecisionWeights()
 class TestSelect:
     def test_three_way_tie_goes_to_adult(self):
         scores = table((5, 5, 5, 5), (5, 5, 5, 5), (5, 5, 5, 5))
-        assert select(scores, EQUAL) is EgoState.ADULT
+        assert select_ego(scores, EQUAL) is EgoState.ADULT
 
     def test_single_criterion_weights(self):
         scores = table((5, 5, 5, 5), (5, 5, 5, 5), (2, 1, 3, 9))
         weights = DecisionWeights(0.0, 0.0, 0.0, 1.0)
-        assert select(scores, weights) is EgoState.CHILD
+        assert select_ego(scores, weights) is EgoState.CHILD
 
     def test_parent_child_tie_goes_to_parent(self):
         scores = table((9, 9, 9, 9), (0, 0, 0, 0), (9, 9, 9, 9))
-        assert select(scores, EQUAL) is EgoState.PARENT
+        assert select_ego(scores, EQUAL) is EgoState.PARENT
 
     def test_matches_brute_force_enumerator_on_random_tables(self):
         rng = random.Random(17)
@@ -160,7 +166,7 @@ class TestSelect:
             raw = [rng.random() + 0.01 for _ in range(4)]
             total = sum(raw)
             weights = DecisionWeights(*(w / total for w in raw))
-            assert select(scores, weights) is select_oracle(scores, weights)
+            assert select_ego(scores, weights) is select_oracle(scores, weights)
 
     def test_invariant_under_power_of_two_weight_free_rescaling(self):
         # Power-of-two scaling is exact in binary floating point, so the
@@ -194,7 +200,7 @@ class TestSelect:
                         return ego
                 raise AssertionError
 
-            reference = select(
+            reference = select_ego(
                 {ego: CriterionScores(*base[ego]) for ego in EGO_ORDER}, weights
             )
             for scale in (0.5, 1.0, 2.0, 4.0, 8.0):
@@ -209,14 +215,14 @@ class TestSelect:
             if d < -1e-12:
                 continue
             weights = DecisionWeights(a, b, c, max(d, 0.0))
-            assert select(scores, weights) is EgoState.ADULT
+            assert select_ego(scores, weights) is EgoState.ADULT
 
     def test_bad_weights_rejected(self):
         scores = table((1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1))
         with pytest.raises(ValueError, match="non-negative"):
-            select(scores, DecisionWeights(-0.5, 0.5, 0.5, 0.5))
+            select_ego(scores, DecisionWeights(-0.5, 0.5, 0.5, 0.5))
         with pytest.raises(ValueError, match="sum"):
-            select(scores, DecisionWeights(0.5, 0.5, 0.5, 0.5))
+            select_ego(scores, DecisionWeights(0.5, 0.5, 0.5, 0.5))
 
 
 class TestDecide:

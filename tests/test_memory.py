@@ -16,8 +16,6 @@ from transact.memory import (
     MemoryIndexError,
     build_index,
     cosine_similarity,
-    load_index_cache,
-    save_index_cache,
     search_top_k,
 )
 from transact.provider import HashEmbedder
@@ -235,22 +233,3 @@ def test_search_equals_oracle_property(data):
     assert [rec.id for rec, _ in got] == [rid for rid, _ in want]
     assert len(got) == min(k, n)
 
-
-class TestIndexCache:
-    def test_round_trip(self, tmp_path):
-        embedder = HashEmbedder(16)
-        records = [make_record(f"r{i}", EgoState.CHILD, context=WORDS[i]) for i in range(3)]
-        idx = build_index(records, embedder, agent="Jordan", ego_state=EgoState.CHILD)
-        path = tmp_path / "cache.json"
-        save_index_cache(path, [idx], scenario_fingerprint="f" * 64, embedder_id=embedder.id)
-        loaded = load_index_cache(path, scenario_fingerprint="f" * 64, embedder_id=embedder.id)
-        assert loaded == [idx]
-
-    def test_key_mismatch_is_a_miss(self, tmp_path):
-        embedder = HashEmbedder(16)
-        idx = build_index([], embedder, agent="Jordan", ego_state=EgoState.CHILD)
-        path = tmp_path / "cache.json"
-        save_index_cache(path, [idx], scenario_fingerprint="f" * 64, embedder_id=embedder.id)
-        assert load_index_cache(path, scenario_fingerprint="0" * 64, embedder_id=embedder.id) is None
-        assert load_index_cache(path, scenario_fingerprint="f" * 64, embedder_id="other") is None
-        assert load_index_cache(tmp_path / "missing.json", scenario_fingerprint="f" * 64, embedder_id=embedder.id) is None

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from helpers import final_step, make_scenario, scores_reply, search_step, simple_run_fixtures
-from transact.core import EgoState, TerminationReason, transcript_hash, validate_scenario
+from transact.core import (
+    EgoState,
+    TerminationReason,
+    fingerprint_scenario,
+    transcript_hash,
+    validate_scenario,
+)
 from transact.memory import MemoryIndexError
 from transact.orchestrator import (
     InvalidScenarioError,
@@ -103,15 +108,18 @@ class TestRunSimulation:
         }
         assert len(hashes) == 1
 
-    def test_parallel_ego_execution_matches_sequential(self):
-        cfg = make_scenario(max_turns=3)
-        sequential = run_simulation(
-            cfg, ScriptedProvider(simple_run_fixtures(cfg)), HashEmbedder()
-        )
-        parallel = run_simulation(
-            cfg, ScriptedProvider(simple_run_fixtures(cfg)), HashEmbedder(), parallel_egos=True
-        )
-        assert transcript_hash(parallel) == transcript_hash(sequential)
+    def test_run_fingerprints_its_scenario_once(self, monkeypatch):
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return fingerprint_scenario(cfg)
+
+        monkeypatch.setattr("transact.orchestrator.fingerprint_scenario", counting)
+        cfg = make_scenario(max_turns=2)
+        t = run_simulation(cfg, ScriptedProvider(simple_run_fixtures(cfg)), HashEmbedder())
+        assert len(calls) == 1
+        assert t.scenario_fingerprint == fingerprint_scenario(cfg)
 
     def test_provider_call_budget_per_turn(self):
         cfg = make_scenario(max_turns=2, tool_budget=2)
@@ -190,20 +198,6 @@ class TestRunSimulation:
         t = run_simulation(cfg, provider, HashEmbedder())
         assert len(t.utterances) == 1
         assert t.termination_reason is TerminationReason.PROVIDER_STOP
-
-    def test_index_cache_round_trip_keeps_run_identical(self, tmp_path):
-        cfg = make_scenario(max_turns=2)
-        cache = tmp_path / "indices.json"
-        first = run_simulation(
-            cfg, ScriptedProvider(simple_run_fixtures(cfg)), HashEmbedder(),
-            index_cache_path=cache,
-        )
-        assert cache.exists()
-        second = run_simulation(
-            cfg, ScriptedProvider(simple_run_fixtures(cfg)), HashEmbedder(),
-            index_cache_path=cache,
-        )
-        assert transcript_hash(first) == transcript_hash(second)
 
     def test_run_log_has_a_record_per_provider_call_and_react_step(self):
         cfg = make_scenario(max_turns=1)
