@@ -123,14 +123,17 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-turns", type=int, help="override the turn limit")
 
 
-def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
-    path = Path(args.scenario)
+def _read_scenario(path: Path) -> ScenarioConfig:
     if not path.exists():
         raise CliInputError(f"scenario file not found: {path}")
     try:
-        cfg = parse_scenario(path.read_text(encoding="utf-8"))
+        return parse_scenario(path.read_text(encoding="utf-8"))
     except ScenarioFormatError as e:
         raise CliInputError(f"scenario does not parse: {e}") from e
+
+
+def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
+    cfg = _read_scenario(Path(args.scenario))
     overrides = {}
     for flag, field_name in (
         ("seed", "seed"), ("k", "k"), ("budget", "tool_budget"), ("max_turns", "max_turns"),
@@ -227,13 +230,7 @@ def cmd_interactive(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    path = Path(args.scenario)
-    if not path.exists():
-        raise CliInputError(f"scenario file not found: {path}")
-    try:
-        cfg = parse_scenario(path.read_text(encoding="utf-8"))
-    except ScenarioFormatError as e:
-        raise CliInputError(f"scenario does not parse: {e}") from e
+    cfg = _read_scenario(Path(args.scenario))
     violations = validate_scenario(cfg)
     if violations:
         for v in violations:

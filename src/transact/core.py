@@ -3,17 +3,23 @@
 Everything here is an immutable value object: construct once, share freely.
 Scenario-side types (profiles, personas, memories) tolerate invalid data at
 construction so that files can be loaded first and checked with
-``validate_scenario``; transcript-side types (utterances, transcripts) enforce
-their internal consistency immediately because only the engine builds them.
+``validate_scenario``; transcript-side types (decision records, utterances,
+transcripts) enforce their internal consistency immediately because only the
+engine builds them. A ``DecisionRecord`` checks that ``chosen`` is the
+weighted argmax of its scores.
 """
 
 from __future__ import annotations
 
+import collections.abc
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+import operator
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Any, Mapping
+from types import UnionType
+from typing import Any, Callable, Mapping, get_args, get_origin, get_type_hints
 
 
 class EgoState(Enum):
@@ -109,7 +115,9 @@ class ScenarioConfig:
     tool_budget: int = 5
     max_turns: int = 10
     seed: int = 0
-    decision_weights: DecisionWeights = field(default_factory=DecisionWeights)
+    decision_weights: DecisionWeights = field(
+        default_factory=DecisionWeights, metadata={"optional": True}
+    )
 
     def agent(self, name: str) -> AgentProfile:
         for a in self.agents:
@@ -150,7 +158,7 @@ def select_ego(
     """
     if any(w < 0 for w in weights.as_dict().values()):
         raise ValueError("weights must be non-negative")
-    if abs(sum(weights.as_dict().values()) - 1.0) > 1e-9:
+    if not abs(sum(weights.as_dict().values()) - 1.0) <= 1e-9:  # also rejects NaN
         raise ValueError("weights must sum to 1")
     best: EgoState | None = None
     best_total = float("-inf")
@@ -172,8 +180,8 @@ def select_ego(
 class DecisionRecord:
     """Scores, weights, and the chosen ego state for one decision step.
 
-    ``chosen`` must equal ``select_ego(scores, weights)``; the engine
-    constructs it that way and transcript parsing re-checks it.
+    ``chosen`` must equal ``select_ego(scores, weights)``; construction
+    raises ValueError otherwise, so every parsed transcript is re-checked.
     """
 
     scores: Mapping[EgoState, CriterionScores]
@@ -181,6 +189,10 @@ class DecisionRecord:
     chosen: EgoState
     rationale: str
     human: bool = False
+
+    def __post_init__(self) -> None:
+        if select_ego(self.scores, self.weights) is not self.chosen:
+            raise ValueError("chosen is inconsistent with the recomputed weighted argmax")
 
 
 @dataclass(frozen=True)
@@ -207,7 +219,7 @@ class RetrievalEvent:
 
     ego_state: EgoState
     query: str
-    hit_ids: tuple[str, ...]
+    hit_ids: tuple[str, ...] = field(metadata={"json_key": "hits"})
     scores: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -323,7 +335,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[Violation]:
     w = cfg.decision_weights.as_dict()
     if any(v < 0 for v in w.values()):
         bad("decision_weights", "weights must be non-negative")
-    elif abs(sum(w.values()) - 1.0) > 1e-9:
+    elif not abs(sum(w.values()) - 1.0) <= 1e-9:  # also rejects NaN
         bad("decision_weights", f"weights must sum to 1, got {sum(w.values())!r}")
 
     return out
@@ -369,6 +381,10 @@ def _validate_personas(agent: AgentProfile, agent_key: str) -> list[Violation]:
 # Scenario and transcript files are UTF-8 JSON. The canonical form is
 # json.dumps with sorted keys, two-space indent, and a trailing newline;
 # lists keep their order (order is meaningful and participates in hashing).
+#
+# A record's JSON object is its dataclass fields, read and written by one
+# codec derived from the field types. Field metadata marks the exceptions:
+# "json_key" renames a key and "optional" lets a key be absent.
 # ---------------------------------------------------------------------------
 
 
@@ -377,176 +393,218 @@ def canonical_json(tree: Any) -> str:
     return json.dumps(tree, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def _record_tree(rec: MemoryRecord) -> dict[str, Any]:
-    return {
-        "id": rec.id,
-        "context": rec.context,
-        "reaction": rec.reaction,
-        "emotions": list(rec.emotions),
-        "tone": rec.tone,
-        "ego_state": rec.ego_state.value,
-    }
+class _CodecError(Exception):
+    """A read failure inside a document, located as the exception unwinds.
+
+    Each enclosing array or object appends its ``[index]`` or ``.key`` to
+    ``path`` (innermost first), so no location is formatted unless a read fails.
+    """
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.path: list[str] = []
+
+    def located(self, root: str) -> str:
+        where = "".join(reversed(self.path)).lstrip(".")
+        return f"{where or root}: {self}"
+
+
+_Reader = Callable[[Any], Any]
+_Writer = Callable[[Any], Any]
+
+_SCALAR_NOUNS = {str: "a string", int: "an integer", bool: "a boolean"}
+
+
+def _as_is(value: Any) -> Any:
+    return value
+
+
+def _exact_reader(tp: type, noun: str) -> _Reader:
+    def read(node: Any) -> Any:
+        if type(node) is not tp:
+            raise _CodecError(f"expected {noun}")
+        return node
+
+    return read
+
+
+def _read_float(node: Any) -> float:
+    if type(node) is float:
+        return node
+    if type(node) is int:
+        return float(node)
+    raise _CodecError("expected a number")
+
+
+def _check_object(node: Any, keys: set[str], required: set[str]) -> None:
+    if type(node) is not dict:
+        raise _CodecError("expected an object")
+    if node.keys() != keys:
+        unknown = node.keys() - keys
+        if unknown:
+            raise _CodecError(f"unknown keys {sorted(unknown)}")
+        missing = required - node.keys()
+        if missing:
+            raise _CodecError(f"missing keys {sorted(missing)}")
+
+
+@functools.cache
+def _codec(tp: Any) -> tuple[_Reader, _Writer]:
+    """The (reader, writer) pair for one annotated type.
+
+    A reader checks a parsed JSON tree strictly and builds the value; a writer
+    turns the value back into a JSON tree. Scalars are checked by exact type
+    (a float field also takes an int), enums are stored by value, ``X | None``
+    allows null, ``tuple[X, ...]`` is an array, ``Mapping[E, X]`` over an enum
+    is an object with exactly one key per member, and a dataclass is an object
+    with exactly its field keys.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    if tp in _SCALAR_NOUNS:
+        return _exact_reader(tp, _SCALAR_NOUNS[tp]), _as_is
+    if tp is float:
+        return _read_float, _as_is
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return _enum_codec(tp)
+    if isinstance(tp, type) and is_dataclass(tp):
+        return _record_codec(tp)
+    if origin is UnionType and len(args) == 2 and type(None) in args:
+        return _optional_codec(next(a for a in args if a is not type(None)))
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return _tuple_codec(args[0])
+    if origin is collections.abc.Mapping and issubclass(args[0], Enum):
+        return _mapping_codec(args[0], args[1])
+    raise TypeError(f"no JSON codec for {tp!r}")
+
+
+def _enum_codec(tp: type[Enum]) -> tuple[_Reader, _Writer]:
+    members = {m.value: m for m in tp}
+
+    def read(node: Any) -> Enum:
+        try:
+            return members[node]
+        except (KeyError, TypeError):
+            raise _CodecError(f"expected one of {sorted(members)}, got {node!r}") from None
+
+    return read, {m: m.value for m in tp}.__getitem__
+
+
+def _optional_codec(inner: Any) -> tuple[_Reader, _Writer]:
+    read_inner, write_inner = _codec(inner)
+
+    def read(node: Any) -> Any:
+        return None if node is None else read_inner(node)
+
+    def write(value: Any) -> Any:
+        return None if value is None else write_inner(value)
+
+    return read, write
+
+
+def _tuple_codec(item: Any) -> tuple[_Reader, _Writer]:
+    read_item, write_item = _codec(item)
+
+    def read(node: Any) -> tuple[Any, ...]:
+        if type(node) is not list:
+            raise _CodecError("expected an array")
+        out = []
+        for i, x in enumerate(node):
+            try:
+                out.append(read_item(x))
+            except _CodecError as e:
+                e.path.append(f"[{i}]")
+                raise
+        return tuple(out)
+
+    if write_item is _as_is:
+        return read, list
+    return read, lambda value: list(map(write_item, value))
+
+
+def _mapping_codec(key_type: type[Enum], value_type: Any) -> tuple[_Reader, _Writer]:
+    read_value, write_value = _codec(value_type)
+    keys = {m.value for m in key_type}
+
+    def read(node: Any) -> dict[Enum, Any]:
+        _check_object(node, keys, keys)
+        out = {}
+        for member in key_type:
+            try:
+                out[member] = read_value(node[member.value])
+            except _CodecError as e:
+                e.path.append(f".{member.value}")
+                raise
+        return out
+
+    def write(value: Mapping[Enum, Any]) -> dict[str, Any]:
+        return {k.value: write_value(v) for k, v in value.items()}
+
+    return read, write
+
+
+def _record_codec(cls: type) -> tuple[_Reader, _Writer]:
+    hints = get_type_hints(cls)
+    specs = []  # (field name, JSON key, reader)
+    converted = []  # (JSON key, writer) for fields not stored as they are
+    required = set()
+    for f in fields(cls):
+        key = f.metadata.get("json_key", f.name)
+        read_field, write_field = _codec(hints[f.name])
+        specs.append((f.name, key, read_field))
+        if write_field is not _as_is:
+            converted.append((key, write_field))
+        if not f.metadata.get("optional"):
+            required.add(key)
+    json_keys = [key for _, key, _ in specs]
+    keys = set(json_keys)
+    get_values = operator.attrgetter(*(name for name, _, _ in specs))
+
+    def read(node: Any) -> Any:
+        _check_object(node, keys, required)
+        kwargs = {}
+        for name, key, read_field in specs:
+            if key in node:  # absent only when optional: the field default applies
+                try:
+                    kwargs[name] = read_field(node[key])
+                except _CodecError as e:
+                    e.path.append(f".{key}")
+                    raise
+        try:
+            return cls(**kwargs)
+        except ValueError as e:
+            raise _CodecError(str(e)) from e
+
+    def write(obj: Any) -> dict[str, Any]:
+        tree = dict(zip(json_keys, get_values(obj)))
+        for key, write_field in converted:
+            tree[key] = write_field(tree[key])
+        return tree
+
+    return read, write
+
+
+def _read_document(tp: type, text: str, error: type[ValueError], root: str) -> Any:
+    try:
+        tree = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise error(f"not valid JSON: {e}") from e
+    try:
+        return _codec(tp)[0](tree)
+    except _CodecError as e:
+        raise error(e.located(root)) from e
 
 
 def scenario_to_tree(cfg: ScenarioConfig) -> dict[str, Any]:
-    return {
-        "agents": [
-            {
-                "name": a.name,
-                "life_script": a.life_script,
-                "personas": [
-                    {
-                        "ego_state": p.ego_state.value,
-                        "descriptor": p.descriptor,
-                        "memories": [_record_tree(r) for r in p.memories],
-                    }
-                    for p in a.personas
-                ],
-            }
-            for a in cfg.agents
-        ],
-        "opening_prompt": cfg.opening_prompt,
-        "first_speaker": cfg.first_speaker,
-        "k": cfg.k,
-        "tool_budget": cfg.tool_budget,
-        "max_turns": cfg.max_turns,
-        "seed": cfg.seed,
-        "decision_weights": cfg.decision_weights.as_dict(),
-    }
+    return _codec(ScenarioConfig)[1](cfg)
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:
     return canonical_json(scenario_to_tree(cfg))
 
 
-class _TreeReader:
-    """Strict walker over a parsed JSON tree with located error messages."""
-
-    def __init__(self, kind: str) -> None:
-        self.error = ScenarioFormatError if kind == "scenario" else TranscriptFormatError
-
-    def obj(
-        self, node: Any, where: str, keys: set[str], optional: frozenset[str] = frozenset()
-    ) -> dict[str, Any]:
-        if not isinstance(node, dict):
-            raise self.error(f"{where}: expected an object")
-        unknown = set(node) - keys - optional
-        if unknown:
-            raise self.error(f"{where}: unknown keys {sorted(unknown)}")
-        missing = keys - set(node)
-        if missing:
-            raise self.error(f"{where}: missing keys {sorted(missing)}")
-        return node
-
-    def text(self, node: Any, where: str) -> str:
-        if not isinstance(node, str):
-            raise self.error(f"{where}: expected a string")
-        return node
-
-    def integer(self, node: Any, where: str) -> int:
-        if not isinstance(node, int) or isinstance(node, bool):
-            raise self.error(f"{where}: expected an integer")
-        return node
-
-    def number(self, node: Any, where: str) -> float:
-        if isinstance(node, bool) or not isinstance(node, (int, float)):
-            raise self.error(f"{where}: expected a number")
-        return float(node)
-
-    def array(self, node: Any, where: str) -> list[Any]:
-        if not isinstance(node, list):
-            raise self.error(f"{where}: expected an array")
-        return node
-
-    def ego(self, node: Any, where: str) -> EgoState:
-        label = self.text(node, where)
-        try:
-            return EgoState(label)
-        except ValueError:
-            raise self.error(f"{where}: unknown ego state {label!r}") from None
-
-
-def _parse_record(r: _TreeReader, node: Any, where: str) -> MemoryRecord:
-    obj = r.obj(node, where, {"id", "context", "reaction", "emotions", "tone", "ego_state"})
-    return MemoryRecord(
-        id=r.text(obj["id"], f"{where}.id"),
-        context=r.text(obj["context"], f"{where}.context"),
-        reaction=r.text(obj["reaction"], f"{where}.reaction"),
-        emotions=tuple(
-            r.text(e, f"{where}.emotions[{i}]") for i, e in enumerate(r.array(obj["emotions"], f"{where}.emotions"))
-        ),
-        tone=r.text(obj["tone"], f"{where}.tone"),
-        ego_state=r.ego(obj["ego_state"], f"{where}.ego_state"),
-    )
-
-
-def _parse_weights(r: _TreeReader, node: Any, where: str) -> DecisionWeights:
-    keys = {"relevance", "progress", "social_appropriateness", "script_alignment"}
-    obj = r.obj(node, where, keys)
-    return DecisionWeights(**{k: r.number(obj[k], f"{where}.{k}") for k in keys})
-
-
-def scenario_from_tree(tree: Any) -> ScenarioConfig:
-    r = _TreeReader("scenario")
-    keys = {
-        "agents",
-        "opening_prompt",
-        "first_speaker",
-        "k",
-        "tool_budget",
-        "max_turns",
-        "seed",
-    }
-    # The weights block is optional and defaults to equal weighting.
-    obj = r.obj(tree, "scenario", keys, optional=frozenset({"decision_weights"}))
-    agents = []
-    for i, a in enumerate(r.array(obj["agents"], "agents")):
-        where = f"agents[{i}]"
-        ao = r.obj(a, where, {"name", "life_script", "personas"})
-        personas = []
-        for j, p in enumerate(r.array(ao["personas"], f"{where}.personas")):
-            pw = f"{where}.personas[{j}]"
-            po = r.obj(p, pw, {"ego_state", "descriptor", "memories"})
-            personas.append(
-                EgoPersona(
-                    ego_state=r.ego(po["ego_state"], f"{pw}.ego_state"),
-                    descriptor=r.text(po["descriptor"], f"{pw}.descriptor"),
-                    memories=tuple(
-                        _parse_record(r, m, f"{pw}.memories[{n}]")
-                        for n, m in enumerate(r.array(po["memories"], f"{pw}.memories"))
-                    ),
-                )
-            )
-        agents.append(
-            AgentProfile(
-                name=r.text(ao["name"], f"{where}.name"),
-                life_script=r.text(ao["life_script"], f"{where}.life_script"),
-                personas=tuple(personas),
-            )
-        )
-    if "decision_weights" in obj:
-        weights = _parse_weights(r, obj["decision_weights"], "decision_weights")
-    else:
-        weights = DecisionWeights()
-    return ScenarioConfig(
-        agents=tuple(agents),
-        opening_prompt=r.text(obj["opening_prompt"], "opening_prompt"),
-        first_speaker=r.text(obj["first_speaker"], "first_speaker"),
-        k=r.integer(obj["k"], "k"),
-        tool_budget=r.integer(obj["tool_budget"], "tool_budget"),
-        max_turns=r.integer(obj["max_turns"], "max_turns"),
-        seed=r.integer(obj["seed"], "seed"),
-        decision_weights=weights,
-    )
-
-
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse a scenario document; raises ScenarioFormatError on malformed input."""
-    try:
-        tree = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ScenarioFormatError(f"not valid JSON: {e}") from e
-    return scenario_from_tree(tree)
+    return _read_document(ScenarioConfig, text, ScenarioFormatError, "scenario")
 
 
 def fingerprint_scenario(cfg: ScenarioConfig) -> str:
@@ -554,62 +612,8 @@ def fingerprint_scenario(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(serialize_scenario(cfg).encode("utf-8")).hexdigest()
 
 
-def _candidate_tree(c: EgoResponse) -> dict[str, Any]:
-    return {
-        "ego_state": c.ego_state.value,
-        "text": c.text,
-        "emotion": c.emotion,
-        "tone": c.tone,
-        "memories_used": list(c.memories_used),
-        "searches_performed": c.searches_performed,
-    }
-
-
 def transcript_to_tree(t: Transcript) -> dict[str, Any]:
-    return {
-        "scenario_fingerprint": t.scenario_fingerprint,
-        "provider": {
-            "kind": t.provider.kind,
-            "model": t.provider.model,
-            "embedder": t.provider.embedder,
-        },
-        "seed": t.seed,
-        "utterances": [
-            {
-                "turn": u.turn,
-                "speaker": u.speaker,
-                "chosen_ego": u.chosen_ego.value,
-                "text": u.text,
-                "candidates": [_candidate_tree(c) for c in u.candidates],
-                "decision": {
-                    "scores": {
-                        ego.value: {
-                            "relevance": s.relevance,
-                            "progress": s.progress,
-                            "social_appropriateness": s.social_appropriateness,
-                            "script_alignment": s.script_alignment,
-                        }
-                        for ego, s in sorted(u.decision.scores.items(), key=lambda kv: kv[0].value)
-                    },
-                    "weights": u.decision.weights.as_dict(),
-                    "chosen": u.decision.chosen.value,
-                    "rationale": u.decision.rationale,
-                    "human": u.decision.human,
-                },
-                "retrieval_log": [
-                    {
-                        "ego_state": ev.ego_state.value,
-                        "query": ev.query,
-                        "hits": list(ev.hit_ids),
-                        "scores": list(ev.scores),
-                    }
-                    for ev in u.retrieval_log
-                ],
-            }
-            for u in t.utterances
-        ],
-        "termination_reason": t.termination_reason.value if t.termination_reason else None,
-    }
+    return _codec(Transcript)[1](t)
 
 
 def serialize_transcript(t: Transcript) -> str:
@@ -617,160 +621,9 @@ def serialize_transcript(t: Transcript) -> str:
     return canonical_json(transcript_to_tree(t))
 
 
-def transcript_from_tree(tree: Any) -> Transcript:
-    r = _TreeReader("transcript")
-    obj = r.obj(
-        tree,
-        "transcript",
-        {"scenario_fingerprint", "provider", "seed", "utterances", "termination_reason"},
-    )
-    prov = r.obj(obj["provider"], "provider", {"kind", "model", "embedder"})
-    utterances = []
-    for i, u in enumerate(r.array(obj["utterances"], "utterances")):
-        where = f"utterances[{i}]"
-        uo = r.obj(
-            u,
-            where,
-            {"turn", "speaker", "chosen_ego", "text", "candidates", "decision", "retrieval_log"},
-        )
-        candidates = []
-        for j, c in enumerate(r.array(uo["candidates"], f"{where}.candidates")):
-            cw = f"{where}.candidates[{j}]"
-            co = r.obj(
-                c,
-                cw,
-                {"ego_state", "text", "emotion", "tone", "memories_used", "searches_performed"},
-            )
-            try:
-                candidates.append(
-                    EgoResponse(
-                        ego_state=r.ego(co["ego_state"], f"{cw}.ego_state"),
-                        text=r.text(co["text"], f"{cw}.text"),
-                        emotion=r.text(co["emotion"], f"{cw}.emotion"),
-                        tone=r.text(co["tone"], f"{cw}.tone"),
-                        memories_used=tuple(
-                            r.text(m, f"{cw}.memories_used[{n}]")
-                            for n, m in enumerate(r.array(co["memories_used"], f"{cw}.memories_used"))
-                        ),
-                        searches_performed=r.integer(
-                            co["searches_performed"], f"{cw}.searches_performed"
-                        ),
-                    )
-                )
-            except ValueError as e:
-                raise TranscriptFormatError(f"{cw}: {e}") from e
-        do = r.obj(
-            uo["decision"], f"{where}.decision", {"scores", "weights", "chosen", "rationale", "human"}
-        )
-        scores_obj = r.obj(
-            do["scores"], f"{where}.decision.scores", {e.value for e in EGO_ORDER}
-        )
-        scores = {}
-        for ego in EGO_ORDER:
-            sw = f"{where}.decision.scores.{ego.value}"
-            so = r.obj(
-                scores_obj[ego.value],
-                sw,
-                {"relevance", "progress", "social_appropriateness", "script_alignment"},
-            )
-            try:
-                scores[ego] = CriterionScores(
-                    relevance=r.integer(so["relevance"], f"{sw}.relevance"),
-                    progress=r.integer(so["progress"], f"{sw}.progress"),
-                    social_appropriateness=r.integer(
-                        so["social_appropriateness"], f"{sw}.social_appropriateness"
-                    ),
-                    script_alignment=r.integer(so["script_alignment"], f"{sw}.script_alignment"),
-                )
-            except ValueError as e:
-                raise TranscriptFormatError(f"{sw}: {e}") from e
-        if not isinstance(do["human"], bool):
-            raise TranscriptFormatError(f"{where}.decision.human: expected a boolean")
-        try:
-            weights = _parse_weights(r, do["weights"], f"{where}.decision.weights")
-            decision = DecisionRecord(
-                scores=scores,
-                weights=weights,
-                chosen=r.ego(do["chosen"], f"{where}.decision.chosen"),
-                rationale=r.text(do["rationale"], f"{where}.decision.rationale"),
-                human=do["human"],
-            )
-            if select_ego(scores, weights) is not decision.chosen:
-                raise TranscriptFormatError(
-                    f"{where}.decision.chosen: inconsistent with recomputed weighted argmax"
-                )
-        except ValueError as e:
-            if isinstance(e, TranscriptFormatError):
-                raise
-            raise TranscriptFormatError(f"{where}.decision: {e}") from e
-        events = []
-        for j, ev in enumerate(r.array(uo["retrieval_log"], f"{where}.retrieval_log")):
-            ew = f"{where}.retrieval_log[{j}]"
-            eo = r.obj(ev, ew, {"ego_state", "query", "hits", "scores"})
-            events.append(
-                RetrievalEvent(
-                    ego_state=r.ego(eo["ego_state"], f"{ew}.ego_state"),
-                    query=r.text(eo["query"], f"{ew}.query"),
-                    hit_ids=tuple(
-                        r.text(h, f"{ew}.hits[{n}]") for n, h in enumerate(r.array(eo["hits"], f"{ew}.hits"))
-                    ),
-                    scores=tuple(
-                        r.number(s, f"{ew}.scores[{n}]")
-                        for n, s in enumerate(r.array(eo["scores"], f"{ew}.scores"))
-                    ),
-                )
-            )
-        try:
-            utterances.append(
-                Utterance(
-                    turn=r.integer(uo["turn"], f"{where}.turn"),
-                    speaker=r.text(uo["speaker"], f"{where}.speaker"),
-                    chosen_ego=r.ego(uo["chosen_ego"], f"{where}.chosen_ego"),
-                    text=r.text(uo["text"], f"{where}.text"),
-                    candidates=tuple(candidates),
-                    decision=decision,
-                    retrieval_log=tuple(events),
-                )
-            )
-        except ValueError as e:
-            raise TranscriptFormatError(f"{where}: {e}") from e
-
-    reason_node = obj["termination_reason"]
-    reason: TerminationReason | None
-    if reason_node is None:
-        reason = None
-    else:
-        label = r.text(reason_node, "termination_reason")
-        try:
-            reason = TerminationReason(label)
-        except ValueError:
-            raise TranscriptFormatError(f"termination_reason: unknown value {label!r}") from None
-
-    try:
-        return Transcript(
-            scenario_fingerprint=r.text(obj["scenario_fingerprint"], "scenario_fingerprint"),
-            provider=ProviderId(
-                kind=r.text(prov["kind"], "provider.kind"),
-                model=r.text(prov["model"], "provider.model"),
-                embedder=r.text(prov["embedder"], "provider.embedder"),
-            ),
-            seed=r.integer(obj["seed"], "seed"),
-            utterances=tuple(utterances),
-            termination_reason=reason,
-        )
-    except ValueError as e:
-        if isinstance(e, TranscriptFormatError):
-            raise
-        raise TranscriptFormatError(str(e)) from e
-
-
 def parse_transcript(text: str) -> Transcript:
     """Parse a transcript document; raises TranscriptFormatError on malformed input."""
-    try:
-        tree = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise TranscriptFormatError(f"not valid JSON: {e}") from e
-    return transcript_from_tree(tree)
+    return _read_document(Transcript, text, TranscriptFormatError, "transcript")
 
 
 def transcript_hash(t: Transcript) -> str:

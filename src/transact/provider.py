@@ -246,8 +246,8 @@ class HttpProvider:
 
     Request shape is the common {model, messages[], temperature} form with a
     bearer credential read from the environment. At most ``max_in_flight``
-    requests run concurrently; transient failures retry a fixed number of
-    times with a fixed delay.
+    requests run concurrently; transient failures (connection errors, 429 and
+    5xx replies) retry a fixed number of times with a fixed delay.
     """
 
     kind = "http"
@@ -330,7 +330,7 @@ def _post_json(
         except requests.RequestException as e:
             last_error = ProviderError(f"request to {url} failed: {e}")
             continue
-        if resp.status_code >= 500:
+        if resp.status_code >= 500 or resp.status_code == 429:
             last_error = ProviderError(
                 f"{url} returned {resp.status_code}: {resp.text[:200]}"
             )

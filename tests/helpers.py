@@ -243,6 +243,17 @@ def random_transcript(rng: random.Random, max_utterances: int = 4) -> Transcript
     )
 
 
+def drop_first_score(tree: dict) -> str:
+    """Remove one score from the first retrieval event that has any, so its
+    hits and scores differ in length; return that event's location."""
+    for i, u in enumerate(tree["utterances"]):
+        for j, event in enumerate(u["retrieval_log"]):
+            if event["scores"]:
+                event["scores"].pop()
+                return f"utterances[{i}].retrieval_log[{j}]"
+    raise AssertionError("transcript has no retrieval event with hits")
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles.
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import asset_path
-from transact.core import canonical_json
+from transact.core import canonical_json, parse_scenario, serialize_scenario
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "generate_assets.py"
 
@@ -24,6 +24,11 @@ def generate_assets():
 def test_bundled_scenario_regenerates_byte_identically(generate_assets):
     want = asset_path("stupid.json").read_bytes()
     assert canonical_json(generate_assets.build_scenario()).encode("utf-8") == want
+
+
+def test_bundled_scenario_round_trips_byte_identically():
+    text = asset_path("stupid.json").read_text(encoding="utf-8")
+    assert serialize_scenario(parse_scenario(text)) == text
 
 
 def test_bundled_fixtures_regenerate_byte_identically(generate_assets):

@@ -8,12 +8,13 @@ import re
 import pytest
 
 from conftest import asset_path
-from helpers import make_scenario, simple_run_fixtures
+from helpers import drop_first_score, make_scenario, simple_run_fixtures
 from transact.cli import EXIT_GATE, EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, main
 from transact.core import (
     parse_transcript,
     serialize_scenario,
     serialize_transcript,
+    transcript_to_tree,
 )
 
 
@@ -159,6 +160,13 @@ class TestAnalyze:
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert run_cli("analyze", "--transcript", tmp_path / "nope.json") == EXIT_INPUT
+
+    def test_hits_and_scores_length_mismatch_is_input_error(self, tmp_path, golden_transcript):
+        tree = transcript_to_tree(golden_transcript)
+        drop_first_score(tree)
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps(tree), encoding="utf-8")
+        assert run_cli("analyze", "--transcript", path) == EXIT_INPUT
 
     def test_report_file_regenerates_byte_identically(self, tmp_path, golden_file):
         first = tmp_path / "r1.json"

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import json
 import random
 
 import pytest
 
-from helpers import make_agent, make_scenario, random_scenario, random_transcript
+from helpers import (
+    drop_first_score,
+    make_agent,
+    make_scenario,
+    random_scenario,
+    random_transcript,
+)
 from transact.core import (
     AgentProfile,
     CriterionScores,
+    DecisionWeights,
     EGO_ORDER,
     EgoPersona,
     EgoState,
@@ -24,6 +33,7 @@ from transact.core import (
     scenario_to_tree,
     serialize_scenario,
     serialize_transcript,
+    transcript_to_tree,
     validate_scenario,
 )
 
@@ -57,6 +67,11 @@ class TestValidateScenario:
     def test_unknown_first_speaker(self):
         cfg = dataclasses.replace(make_scenario(), first_speaker="Nobody")
         assert [v.path for v in validate_scenario(cfg)] == ["first_speaker"]
+
+    def test_nan_decision_weight(self):
+        weights = DecisionWeights(float("nan"), 0.25, 0.25, 0.25)
+        cfg = dataclasses.replace(make_scenario(), decision_weights=weights)
+        assert [v.path for v in validate_scenario(cfg)] == ["decision_weights"]
 
     def test_all_bounds_checked(self):
         cfg = dataclasses.replace(make_scenario(), k=0, tool_budget=0, max_turns=0, seed=-1)
@@ -193,6 +208,124 @@ class TestSerialization:
         decision["chosen"] = "Adult"
         with pytest.raises(TranscriptFormatError, match="inconsistent"):
             parse_transcript(json.dumps(tree))
+
+    def test_hits_and_scores_length_mismatch_is_a_located_format_error(
+        self, golden_transcript
+    ):
+        tree = transcript_to_tree(golden_transcript)
+        where = drop_first_score(tree)
+        with pytest.raises(TranscriptFormatError) as info:
+            parse_transcript(json.dumps(tree))
+        assert str(info.value).startswith(f"{where}: ")
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_decision_weight_is_a_format_error(self, golden_transcript, weight):
+        tree = transcript_to_tree(golden_transcript)
+        tree["utterances"][0]["decision"]["weights"]["relevance"] = weight
+        with pytest.raises(TranscriptFormatError, match=r"^utterances\[0\]\.decision: weights"):
+            parse_transcript(json.dumps(tree))
+
+
+# ---------------------------------------------------------------------------
+# Mutation table for the strict readers: every single-node edit of a valid
+# document either parses or raises that document's format error, located once.
+# ---------------------------------------------------------------------------
+
+REPLACEMENTS = (None, True, 1, 1.5, "x", [], {})
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    names = {type(None): "null", int: "int", float: "float", str: "string", list: "array"}
+    return names.get(type(value), "object")
+
+
+def _where(path: tuple) -> str:
+    out = ""
+    for segment in path:
+        if isinstance(segment, int):
+            out += f"[{segment}]"
+        else:
+            out += f".{segment}" if out else segment
+    return out
+
+
+def _nodes(node, path=()):
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutations(tree):
+    """(kind, path, original node, mutated tree) for every single-node edit."""
+    for path, node in _nodes(tree):
+        if isinstance(node, dict):
+            mutated = copy.deepcopy(tree)
+            _at(mutated, path)["surprise"] = 1
+            yield "add", path, node, mutated
+        if not path:
+            continue
+        mutated = copy.deepcopy(tree)
+        del _at(mutated, path[:-1])[path[-1]]
+        yield "delete", path, node, mutated
+        for value in REPLACEMENTS:
+            mutated = copy.deepcopy(tree)
+            _at(mutated, path[:-1])[path[-1]] = value
+            yield value, path, node, mutated
+
+
+def _at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def _document(root: str):
+    """A valid document tree with its parser and that parser's error type."""
+    if root == "scenario":
+        return scenario_to_tree(make_scenario(n_memories=1)), parse_scenario, ScenarioFormatError
+    rng = random.Random(5)
+    t = random_transcript(rng, max_utterances=2)
+    while not any(ev.hit_ids for u in t.utterances for ev in u.retrieval_log):
+        t = random_transcript(rng, max_utterances=2)
+    return transcript_to_tree(t), parse_transcript, TranscriptFormatError
+
+
+@pytest.mark.parametrize("root", ["scenario", "transcript"])
+def test_mutation_table_for_the_strict_readers(root):
+    tree, parse, error = _document(root)
+    checked = 0
+    for kind, path, original, mutated in _mutations(tree):
+        label = f"{kind!r} at {_where(path) or root}"
+        try:
+            parse(json.dumps(mutated))
+            accepted = True
+        except error as e:
+            accepted = False
+            where, _, detail = str(e).partition(": ")
+            ancestors = {_where(path[:n]) for n in range(1, len(path) + 1)}
+            assert where == root or where in ancestors, f"{label}: located at {str(e)!r}"
+            assert where == root or where not in detail, f"{label}: doubled location {str(e)!r}"
+        if kind == "add":
+            assert not accepted, f"{label}: unknown key accepted"
+        elif kind == "delete" and isinstance(path[-1], str):
+            assert accepted == (path == ("decision_weights",)), f"{label}: wrong decision"
+        elif kind != "delete":
+            allowed = (
+                _json_type(kind) == _json_type(original)
+                or (_json_type(kind), _json_type(original)) == ("int", "float")
+                or (kind is None and path == ("termination_reason",))
+            )
+            assert allowed or not accepted, f"{label}: replaced {original!r} accepted"
+        checked += 1
+    assert checked > 500
 
 
 class TestFingerprint:

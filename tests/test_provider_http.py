@@ -107,9 +107,10 @@ class TestHttpProvider:
         with pytest.raises(ProviderError, match="403.*forbidden zone"):
             provider.complete(MESSAGES)
 
-    def test_retries_5xx_then_succeeds(self, stub_server):
+    @pytest.mark.parametrize("status", [503, 429])
+    def test_retries_5xx_then_succeeds(self, stub_server, status):
         stub_server.script["/chat/completions"] = [
-            (503, {"error": "busy"}),
+            (status, {"error": "busy"}),
             (200, completion_payload("after retry")),
         ]
         provider = HttpProvider(config_for(stub_server), api_key="test-key")
