@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import logging
 import os
 import sys
@@ -174,8 +175,11 @@ def _build_backend(args: argparse.Namespace):
     return HttpProvider(config, api_key), CachingEmbedder(RemoteEmbedder(config, api_key))
 
 
-def _write_transcript(t: Transcript, out: Path) -> None:
-    out.write_text(serialize_transcript(t), encoding="utf-8")
+def _write_transcript(t: Transcript, out: Path) -> bytes:
+    """Write the canonical transcript bytes to ``out`` and return them."""
+    data = serialize_transcript(t).encode("utf-8")
+    out.write_bytes(data)
+    return data
 
 
 def _summary_line(u: Utterance) -> str:
@@ -186,10 +190,13 @@ def _summary_line(u: Utterance) -> str:
 def _finish_run(t: Transcript, args: argparse.Namespace, run_log: RunLog) -> None:
     if args.out:
         out = Path(args.out)
-        _write_transcript(t, out)
+        # Serialized once: the hash of the bytes written equals transcript_hash(t).
+        digest = hashlib.sha256(_write_transcript(t, out)).hexdigest()
         run_log.write_jsonl(out.with_name(out.name + ".log"))
         print(f"transcript written to {out}")
-    print(f"transcript hash: {transcript_hash(t)}")
+    else:
+        digest = transcript_hash(t)
+    print(f"transcript hash: {digest}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:

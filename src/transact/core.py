@@ -245,9 +245,6 @@ class Utterance:
         if chosen.text != self.text:
             raise ValueError("utterance text must equal the chosen candidate's text")
 
-    def candidate(self, ego: EgoState) -> EgoResponse:
-        return next(c for c in self.candidates if c.ego_state is ego)
-
 
 @dataclass(frozen=True)
 class ProviderId:

@@ -385,7 +385,8 @@ class HashEmbedder:
         for token in tokens:
             counts[self.bucket(token)] += 1.0
         norm = math.sqrt(math.fsum(c * c for c in counts))
-        return EmbeddingVector(tuple(c / norm for c in counts))
+        # One shared 0.0 object for the empty buckets, not a new float per bucket.
+        return EmbeddingVector(tuple(c / norm if c else 0.0 for c in counts))
 
 
 def hash_embed(text: str, dim: int = HASH_EMBED_DIM) -> EmbeddingVector:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -14,6 +15,7 @@ from transact.core import (
     parse_transcript,
     serialize_scenario,
     serialize_transcript,
+    transcript_hash,
     transcript_to_tree,
 )
 
@@ -56,6 +58,17 @@ class TestRun:
         reloaded = parse_transcript(out.read_text(encoding="utf-8"))
         assert len(reloaded.utterances) == 2
         assert (tmp_path / "t.json.log").exists()
+
+    def test_printed_hash_is_the_hash_of_the_written_bytes(
+        self, tmp_path, scenario_file, fixture_file, capsys
+    ):
+        scenario, _ = scenario_file
+        out = tmp_path / "t.json"
+        code = run_cli("run", "--scenario", scenario, "--fixtures", fixture_file, "--out", out)
+        assert code == EXIT_OK
+        printed = re.search(r"transcript hash: (\w+)", capsys.readouterr().out).group(1)
+        assert printed == hashlib.sha256(out.read_bytes()).hexdigest()
+        assert printed == transcript_hash(parse_transcript(out.read_text(encoding="utf-8")))
 
     def test_missing_scenario_file_is_input_error(self, tmp_path, capsys):
         code = run_cli("run", "--scenario", tmp_path / "absent.json", "--fixtures", "x")

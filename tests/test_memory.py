@@ -6,13 +6,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import WORDS, make_record, search_oracle
+from helpers import WORDS, cosine_oracle, make_record, search_oracle
 from transact.core import EgoState
 from transact.memory import (
     EmbeddingVector,
+    MemoryIndex,
     MemoryIndexError,
     build_index,
     cosine_similarity,
@@ -65,6 +66,36 @@ class TestCosine:
         with pytest.raises(MemoryIndexError, match="finite"):
             EmbeddingVector((1.0, float("nan")))
 
+    def test_all_zero_products_score_positive_zero(self):
+        # Every dense product is +0.0 or -0.0; fsum of them is +0.0, and so is
+        # the sum over an empty shared support.
+        score = cosine_similarity(vec(-1, 0), vec(0, -1))
+        assert score == 0.0
+        assert math.copysign(1.0, score) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_the_dense_oracle(self, data):
+        entry = st.one_of(
+            st.sampled_from([0.0, 0.0, -0.0]),
+            st.floats(-8, 8, allow_nan=False, allow_infinity=False),
+        )
+        dim = data.draw(st.integers(1, 64))
+        a = data.draw(st.lists(entry, min_size=dim, max_size=dim))
+        b = data.draw(st.lists(entry, min_size=dim, max_size=dim))
+        na = math.sqrt(math.fsum(x * x for x in a))
+        nb = math.sqrt(math.fsum(y * y for y in b))
+        assume(na * nb > 0.0)
+        assert cosine_similarity(vec(*a), vec(*b)).hex() == cosine_oracle(a, b).hex()
+
+
+    def test_support_lists_a_sparse_vector_and_keeps_a_dense_one_whole(self):
+        sparse = vec(0, 2, 0, -0.0, 5)
+        assert sparse.support == ([1, 4], [2.0, 5.0])
+        dense = vec(1, 2, 0, 3)
+        assert dense.support == (range(4), dense.values)
+        assert dense.support[1] is dense.values
+
 
 class TestBuildIndex:
     def test_ten_records_make_ten_entries(self):
@@ -98,10 +129,43 @@ class TestBuildIndex:
         with pytest.raises(MemoryIndexError, match="partition"):
             build_index([alien], HashEmbedder(), agent="X", ego_state=EgoState.CHILD)
 
+    def test_index_rejects_an_entry_of_the_wrong_dimension(self):
+        rec = make_record("wide", EgoState.CHILD)
+        with pytest.raises(MemoryIndexError, match="'wide' embedded to dim 3, index dim is 2"):
+            MemoryIndex(agent="X", ego_state=EgoState.CHILD, entries=((rec, vec(1, 0, 0)),), dim=2)
+
+    def test_index_rejects_a_zero_norm_entry(self):
+        ok = make_record("ok", EgoState.CHILD)
+        zero = make_record("zero", EgoState.CHILD)
+        with pytest.raises(MemoryIndexError, match="'zero' embedded to a zero-norm vector"):
+            MemoryIndex(
+                agent="X",
+                ego_state=EgoState.CHILD,
+                entries=((ok, vec(0, 1)), (zero, vec(0, -0.0))),
+                dim=2,
+            )
+
     def test_embedder_failure_names_the_record(self):
         bad = make_record("bad-one", EgoState.CHILD, context="!!! ...")
         with pytest.raises(MemoryIndexError, match="bad-one"):
             build_index([bad], HashEmbedder(), agent="X", ego_state=EgoState.CHILD)
+
+
+    def test_zero_norm_record_stops_the_build_before_the_next_embed(self):
+        seen: list[str] = []
+
+        class Recording(FixedEmbedder):
+            def embed(self, text: str) -> EmbeddingVector:
+                seen.append(text)
+                return super().embed(text)
+
+        embedder = Recording({"zero": (0.0, 0.0, 0.0)})
+        records = [
+            make_record(rid, EgoState.CHILD, context=rid) for rid in ("ok", "zero", "later")
+        ]
+        with pytest.raises(MemoryIndexError, match="'zero' embedded to a zero-norm vector"):
+            build_index(records, embedder, agent="X", ego_state=EgoState.CHILD)
+        assert seen == ["ok", "zero"]
 
 
 class FixedEmbedder:
@@ -114,6 +178,13 @@ class FixedEmbedder:
 
     def embed(self, text: str) -> EmbeddingVector:
         return EmbeddingVector(self.table.get(text, (1.0,) + (0.0,) * (self.dim - 1)))
+
+
+def assert_bit_identical_to_oracle(idx, query: str, k: int, embedder) -> None:
+    got = search_top_k(idx, query, k, embedder)
+    want = search_oracle(idx, query, k, embedder)
+    assert [rec.id for rec, _ in got] == [rid for rid, _ in want]
+    assert [s.hex() for _, s in got] == [s.hex() for _, s in want]
 
 
 class TestSearchTopK:
@@ -153,11 +224,44 @@ class TestSearchTopK:
         for _ in range(10):
             query = " ".join(rng.sample(WORDS, 3))
             for k in (1, 3, 10, 60, 100):
-                got = search_top_k(idx, query, k, embedder)
-                want = search_oracle(idx, query, k, embedder)
-                assert [rec.id for rec, _ in got] == [rid for rid, _ in want]
-                for (_, gs), (_, ws) in zip(got, want):
-                    assert gs == pytest.approx(ws, abs=1e-9)
+                assert_bit_identical_to_oracle(idx, query, k, embedder)
+
+    def test_full_width_partition_matches_oracle_bit_for_bit(self):
+        rng = random.Random(2024)
+        embedder = HashEmbedder(256)
+        records = [
+            make_record(
+                f"r{i:03d}", EgoState.CHILD,
+                context=" ".join(rng.choices(WORDS, k=rng.randint(1, 12))),
+            )
+            for i in range(500)
+        ]
+        idx = build_index(records, embedder, agent="X", ego_state=EgoState.CHILD)
+        for _ in range(5):
+            query = " ".join(rng.sample(WORDS, rng.randint(1, 5)))
+            for k in (1, 3, 500):
+                assert_bit_identical_to_oracle(idx, query, k, embedder)
+
+
+    def test_dense_and_sparse_partition_matches_oracle_bit_for_bit(self):
+        # Dense vectors are walked whole, sparse ones by their non-zero indices;
+        # a query of either kind scores both exactly as the dense oracle does.
+        rng = random.Random(7)
+        dim = 64
+
+        def draw(density: float) -> tuple[float, ...]:
+            return tuple(
+                rng.gauss(0.0, 1.0) if rng.random() < density else 0.0 for _ in range(dim)
+            )
+
+        table = {f"t{i}": draw(rng.choice((0.05, 0.3, 0.7, 1.0))) for i in range(200)}
+        table = {t: v for t, v in table.items() if any(v)}
+        embedder = FixedEmbedder(table, dim=dim)
+        records = [make_record(t, EgoState.ADULT, context=t) for t in table]
+        idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
+        for query in list(table)[:20]:
+            for k in (1, 5, len(records)):
+                assert_bit_identical_to_oracle(idx, query, k, embedder)
 
     def test_k_larger_than_index_returns_everything(self):
         embedder = HashEmbedder()
