@@ -86,7 +86,6 @@ from .provider import (
     Role,
     ScriptedProvider,
     ScriptedQueueUnderrun,
-    hash_embed,
     load_fixtures,
 )
 from .runlog import RunLog

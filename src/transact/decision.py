@@ -22,7 +22,7 @@ from .core import (
     select_ego,
 )
 from .ego_agent import render_history
-from .provider import CallerInfo, ChatMessage, Role
+from .provider import CallerInfo, ChatMessage, Role, complete_logged
 from .runlog import RunLog
 
 logger = logging.getLogger(__name__)
@@ -138,7 +138,7 @@ def decide(
     scores: Mapping[EgoState, CriterionScores] | None = None
     rationale = ""
     for attempt in range(2):
-        raw = provider.complete(messages, caller=caller)
+        raw = complete_logged(provider, messages, caller, log)
         try:
             scores, rationale = parse_scores(raw)
             break

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import templates
 from .core import EgoResponse, EgoState, RetrievalEvent
 from .memory import Embedder, MemoryIndex, search_top_k
-from .provider import CallerInfo, ChatMessage, Role
+from .provider import CallerInfo, ChatMessage, Role, complete_logged
 from .runlog import RunLog
 
 logger = logging.getLogger(__name__)
@@ -231,7 +231,7 @@ def run_ego_turn(
         return EgoTurnOutcome(response, tuple(retrieval), malformed, calls)
 
     for _ in range(ctx.tool_budget + 2):
-        raw = provider.complete(messages, stop_markers=STOP_MARKERS, caller=caller)
+        raw = complete_logged(provider, messages, caller, log, stop_markers=STOP_MARKERS)
         calls += 1
         try:
             step = parse_react_step(raw)

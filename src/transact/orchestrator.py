@@ -224,8 +224,6 @@ def run_simulation(
             raise ValueError("human_agent requires an input_fn")
 
     log = run_log or RunLog()
-    if hasattr(provider, "attach_run_log"):
-        provider.attach_run_log(log)
     fingerprint = fingerprint_scenario(cfg)
     indices = build_indices(cfg, embedder)
     provider_id = ProviderId(kind=provider.kind, model=provider.model, embedder=embedder.id)

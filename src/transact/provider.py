@@ -9,7 +9,6 @@ simulation run is a pure function of its scenario and fixture file.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import re
 import threading
@@ -23,9 +22,8 @@ from typing import Sequence
 
 import requests
 
-from .memory import EmbeddingVector
-
-logger = logging.getLogger(__name__)
+from .memory import EmbeddingVector, MemoryIndexError
+from .runlog import RunLog
 
 API_KEY_ENV = "TRANSACT_API_KEY"
 
@@ -34,7 +32,10 @@ DEFAULT_MODEL = "gpt-4o"
 DEFAULT_EMBEDDER_MODEL = "text-embedding-3-small"
 DEFAULT_TIMEOUT_MS = 30_000
 DEFAULT_RESPONSE_BYTE_CAP = 1_048_576
-DEFAULT_MAX_IN_FLIGHT = 3
+#: Completions are sampled greedily, so a live run is as repeatable as its endpoint.
+TEMPERATURE = 0.0
+#: The most requests one HTTP client has in flight at once.
+MAX_IN_FLIGHT = 3
 
 
 class ProviderError(RuntimeError):
@@ -85,8 +86,6 @@ class ProviderCall:
     """One completed provider round-trip, as recorded in the call log."""
 
     caller: CallerInfo | None
-    request_bytes: int
-    response_bytes: int
     messages: tuple[ChatMessage, ...]
     response: str
 
@@ -98,40 +97,9 @@ class ProviderConfig:
     model: str = DEFAULT_MODEL
     embedder: str = DEFAULT_EMBEDDER_MODEL
     timeout_ms: int = DEFAULT_TIMEOUT_MS
-    temperature: float = 0.0
     max_retries: int = 2
     retry_delay_s: float = 0.5
     response_byte_cap: int = DEFAULT_RESPONSE_BYTE_CAP
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
-
-
-def _check_messages(messages: Sequence[ChatMessage]) -> None:
-    if not messages:
-        raise ProviderError("complete() requires at least one message")
-    if messages[0].role is not Role.SYSTEM:
-        raise ProviderError("the first message must have the System role")
-
-
-def _log_call(backend: str, call: ProviderCall, run_log=None) -> None:
-    caller = call.caller
-    if run_log is not None:
-        run_log.record(
-            "provider_call",
-            backend=backend,
-            agent=caller.agent if caller else None,
-            role=caller.role if caller else None,
-            turn=caller.turn if caller else None,
-            request_bytes=call.request_bytes,
-            response_bytes=call.response_bytes,
-        )
-    logger.debug(
-        "provider_call backend=%s caller=%s turn=%s req_bytes=%d resp_bytes=%d",
-        backend,
-        caller.key if caller else "-",
-        caller.turn if caller else "-",
-        call.request_bytes,
-        call.response_bytes,
-    )
 
 
 def _truncate_at_stop(text: str, stop_markers: Sequence[str]) -> str:
@@ -143,13 +111,79 @@ def _truncate_at_stop(text: str, stop_markers: Sequence[str]) -> str:
     return text[:cut]
 
 
-def _enforce_byte_cap(text: str, cap: int) -> None:
-    size = len(text.encode("utf-8"))
-    if size > cap:
-        raise ProviderError(f"response of {size} bytes exceeds the {cap}-byte cap")
+class _ChatBackend:
+    """What every chat backend does around its raw reply.
+
+    ``complete`` checks the messages, takes the raw reply from ``_reply``,
+    enforces the reply byte cap, cuts the reply at the first stop marker and
+    appends the call to ``call_log``.
+    """
+
+    kind: str
+    model: str
+
+    def __init__(self, response_byte_cap: int) -> None:
+        self._response_byte_cap = response_byte_cap
+        self._lock = threading.Lock()
+        self.call_log: list[ProviderCall] = []
+
+    def _reply(
+        self,
+        messages: Sequence[ChatMessage],
+        stop_markers: Sequence[str],
+        caller: CallerInfo | None,
+    ) -> str:
+        raise NotImplementedError
+
+    def complete(
+        self,
+        messages: Sequence[ChatMessage],
+        stop_markers: Sequence[str] = (),
+        caller: CallerInfo | None = None,
+    ) -> str:
+        if not messages:
+            raise ProviderError("complete() requires at least one message")
+        if messages[0].role is not Role.SYSTEM:
+            raise ProviderError("the first message must have the System role")
+        raw = self._reply(messages, stop_markers, caller)
+        size = len(raw.encode("utf-8"))
+        if size > self._response_byte_cap:
+            raise ProviderError(
+                f"response of {size} bytes exceeds the {self._response_byte_cap}-byte cap"
+            )
+        text = _truncate_at_stop(raw, stop_markers)
+        with self._lock:
+            self.call_log.append(ProviderCall(caller, tuple(messages), text))
+        return text
 
 
-class ScriptedProvider:
+def complete_logged(
+    provider,
+    messages: Sequence[ChatMessage],
+    caller: CallerInfo,
+    run_log: RunLog,
+    stop_markers: Sequence[str] = (),
+) -> str:
+    """``provider.complete``, recorded as one ``provider_call`` event in ``run_log``.
+
+    ``request_bytes`` is the UTF-8 size of the message contents and
+    ``response_bytes`` that of the returned (stop-truncated) reply, whatever
+    the backend.
+    """
+    text = provider.complete(messages, stop_markers=stop_markers, caller=caller)
+    run_log.record(
+        "provider_call",
+        backend=provider.kind,
+        agent=caller.agent,
+        role=caller.role,
+        turn=caller.turn,
+        request_bytes=sum(len(m.content.encode("utf-8")) for m in messages),
+        response_bytes=len(text.encode("utf-8")),
+    )
+    return text
+
+
+class ScriptedProvider(_ChatBackend):
     """Replays fixture completions from keyed FIFO queues.
 
     Queues are keyed "agent/role" (role is an ego-state label or "decision"),
@@ -158,6 +192,7 @@ class ScriptedProvider:
     """
 
     kind = "scripted"
+    model = "scripted"
 
     def __init__(
         self,
@@ -165,29 +200,21 @@ class ScriptedProvider:
         *,
         response_byte_cap: int = DEFAULT_RESPONSE_BYTE_CAP,
     ) -> None:
-        self.model = "scripted"
+        super().__init__(response_byte_cap)
         self._queues: dict[str, deque[str]] = {}
         for key, response in fixtures:
             self._queues.setdefault(key, deque()).append(response)
-        self._lock = threading.Lock()
-        self._response_byte_cap = response_byte_cap
-        self.call_log: list[ProviderCall] = []
-        self.run_log = None
-
-    def attach_run_log(self, run_log) -> None:
-        self.run_log = run_log
 
     def remaining(self) -> int:
         with self._lock:
             return sum(len(q) for q in self._queues.values())
 
-    def complete(
+    def _reply(
         self,
         messages: Sequence[ChatMessage],
-        stop_markers: Sequence[str] = (),
-        caller: CallerInfo | None = None,
+        stop_markers: Sequence[str],
+        caller: CallerInfo | None,
     ) -> str:
-        _check_messages(messages)
         if caller is None:
             raise ProviderError("the scripted backend requires caller info to pick a queue")
         with self._lock:
@@ -197,25 +224,7 @@ class ScriptedProvider:
                     f"fixture queue exhausted for {caller.agent}/{caller.role} "
                     f"at turn {caller.turn}"
                 )
-            raw = queue.popleft()
-        _enforce_byte_cap(raw, self._response_byte_cap)
-        text = _truncate_at_stop(raw, stop_markers)
-        self._record(caller, messages, text)
-        return text
-
-    def _record(
-        self, caller: CallerInfo | None, messages: Sequence[ChatMessage], response: str
-    ) -> None:
-        call = ProviderCall(
-            caller=caller,
-            request_bytes=sum(len(m.content.encode("utf-8")) for m in messages),
-            response_bytes=len(response.encode("utf-8")),
-            messages=tuple(messages),
-            response=response,
-        )
-        with self._lock:
-            self.call_log.append(call)
-        _log_call("scripted", call, self.run_log)
+            return queue.popleft()
 
 
 def load_fixtures(path: str | Path) -> list[tuple[str, str]]:
@@ -241,108 +250,86 @@ def load_fixtures(path: str | Path) -> list[tuple[str, str]]:
     return out
 
 
-class HttpProvider:
-    """Chat completions over HTTP: POST {base_url}/chat/completions.
+class _Endpoint:
+    """One authenticated JSON endpoint of an HTTP client: POST {base_url}/{path}.
 
-    Request shape is the common {model, messages[], temperature} form with a
-    bearer credential read from the environment. At most ``max_in_flight``
-    requests run concurrently; transient failures (connection errors, 429 and
-    5xx replies) retry a fixed number of times with a fixed delay.
+    At most ``MAX_IN_FLIGHT`` requests run at once. Connection errors, 429
+    and 5xx replies are retried ``max_retries`` times after a fixed delay.
     """
 
-    kind = "http"
-
-    def __init__(self, config: ProviderConfig, api_key: str) -> None:
+    def __init__(self, config: ProviderConfig, api_key: str, path: str) -> None:
         if not api_key:
             raise ProviderError(
                 f"no API credential: set {API_KEY_ENV} before using the http backend"
             )
         self._config = config
-        self._api_key = api_key
+        self._url = f"{config.base_url.rstrip('/')}/{path}"
+        self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+        self._gate = threading.BoundedSemaphore(MAX_IN_FLIGHT)
+
+    def post(self, payload: dict) -> dict:
+        url, config = self._url, self._config
+        timeout = config.timeout_ms / 1000.0
+        last_error: Exception | None = None
+        for attempt in range(config.max_retries + 1):
+            if attempt:
+                time.sleep(config.retry_delay_s)
+            try:
+                with self._gate:
+                    resp = requests.post(url, json=payload, headers=self._headers, timeout=timeout)
+            except requests.RequestException as e:
+                last_error = ProviderError(f"request to {url} failed: {e}")
+                continue
+            if resp.status_code >= 500 or resp.status_code == 429:
+                last_error = ProviderError(
+                    f"{url} returned {resp.status_code}: {resp.text[:200]}"
+                )
+                continue
+            if resp.status_code != 200:
+                raise ProviderError(f"{url} returned {resp.status_code}: {resp.text[:200]}")
+            try:
+                return resp.json()
+            except ValueError as e:
+                raise ProviderError(f"{url} returned non-JSON body: {e}") from e
+        assert last_error is not None
+        raise last_error
+
+
+class HttpProvider(_ChatBackend):
+    """Chat completions over HTTP: POST {base_url}/chat/completions.
+
+    Request shape is the common {model, messages[], temperature} form with a
+    bearer credential read from the environment.
+    """
+
+    kind = "http"
+
+    def __init__(self, config: ProviderConfig, api_key: str) -> None:
+        self._endpoint = _Endpoint(config, api_key, "chat/completions")
+        super().__init__(config.response_byte_cap)
         self.model = config.model
-        self._gate = threading.BoundedSemaphore(config.max_in_flight)
-        self._lock = threading.Lock()
-        self.call_log: list[ProviderCall] = []
-        self.run_log = None
 
-    def attach_run_log(self, run_log) -> None:
-        self.run_log = run_log
-
-    def complete(
+    def _reply(
         self,
         messages: Sequence[ChatMessage],
-        stop_markers: Sequence[str] = (),
-        caller: CallerInfo | None = None,
+        stop_markers: Sequence[str],
+        caller: CallerInfo | None,
     ) -> str:
-        _check_messages(messages)
         payload: dict = {
-            "model": self._config.model,
+            "model": self.model,
             "messages": [{"role": m.role.value, "content": m.content} for m in messages],
-            "temperature": self._config.temperature,
+            "temperature": TEMPERATURE,
         }
         if stop_markers:
             payload["stop"] = list(stop_markers)
-        body = _post_json(
-            f"{self._config.base_url.rstrip('/')}/chat/completions",
-            payload,
-            api_key=self._api_key,
-            config=self._config,
-            gate=self._gate,
-        )
+        body = self._endpoint.post(payload)
         try:
             raw = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as e:
             raise ProviderError(f"unexpected completion payload shape: {e}") from e
         if not isinstance(raw, str):
             raise ProviderError("completion content is not a string")
-        _enforce_byte_cap(raw, self._config.response_byte_cap)
-        text = _truncate_at_stop(raw, stop_markers)
-        call = ProviderCall(
-            caller=caller,
-            request_bytes=len(json.dumps(payload).encode("utf-8")),
-            response_bytes=len(text.encode("utf-8")),
-            messages=tuple(messages),
-            response=text,
-        )
-        with self._lock:
-            self.call_log.append(call)
-        _log_call("http", call, self.run_log)
-        return text
-
-
-def _post_json(
-    url: str,
-    payload: dict,
-    *,
-    api_key: str,
-    config: ProviderConfig,
-    gate: threading.BoundedSemaphore,
-) -> dict:
-    headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
-    timeout = config.timeout_ms / 1000.0
-    last_error: Exception | None = None
-    for attempt in range(config.max_retries + 1):
-        if attempt:
-            time.sleep(config.retry_delay_s)
-        try:
-            with gate:
-                resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as e:
-            last_error = ProviderError(f"request to {url} failed: {e}")
-            continue
-        if resp.status_code >= 500 or resp.status_code == 429:
-            last_error = ProviderError(
-                f"{url} returned {resp.status_code}: {resp.text[:200]}"
-            )
-            continue
-        if resp.status_code != 200:
-            raise ProviderError(f"{url} returned {resp.status_code}: {resp.text[:200]}")
-        try:
-            return resp.json()
-        except ValueError as e:
-            raise ProviderError(f"{url} returned non-JSON body: {e}") from e
-    assert last_error is not None
-    raise last_error
+        return raw
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +376,6 @@ class HashEmbedder:
         return EmbeddingVector(tuple(c / norm if c else 0.0 for c in counts))
 
 
-def hash_embed(text: str, dim: int = HASH_EMBED_DIM) -> EmbeddingVector:
-    """Convenience wrapper over HashEmbedder for one-off embeddings."""
-    return HashEmbedder(dim).embed(text)
-
-
 class RemoteEmbedder:
     """Embeddings over HTTP: POST {base_url}/embeddings.
 
@@ -402,33 +384,24 @@ class RemoteEmbedder:
     """
 
     def __init__(self, config: ProviderConfig, api_key: str) -> None:
-        if not api_key:
-            raise ProviderError(
-                f"no API credential: set {API_KEY_ENV} before using the http backend"
-            )
-        self._config = config
-        self._api_key = api_key
-        self._gate = threading.BoundedSemaphore(config.max_in_flight)
+        self._endpoint = _Endpoint(config, api_key, "embeddings")
+        self.id = config.embedder
         self._dim: int | None = None
         self._lock = threading.Lock()
 
-    @property
-    def id(self) -> str:
-        return self._config.embedder
-
     def embed(self, text: str) -> EmbeddingVector:
-        body = _post_json(
-            f"{self._config.base_url.rstrip('/')}/embeddings",
-            {"model": self._config.embedder, "input": text},
-            api_key=self._api_key,
-            config=self._config,
-            gate=self._gate,
-        )
+        body = self._endpoint.post({"model": self.id, "input": text})
         try:
             values = body["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError) as e:
             raise ProviderError(f"unexpected embedding payload shape: {e}") from e
-        vec = EmbeddingVector(tuple(float(v) for v in values))
+        # bool is a subclass of int, so the types are compared exactly.
+        if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+            raise ProviderError("embedding is not a JSON array of numbers")
+        try:
+            vec = EmbeddingVector(tuple(map(float, values)))
+        except (OverflowError, MemoryIndexError) as e:  # empty, non-finite or out of float range
+            raise ProviderError(f"unusable embedding: {e}") from e
         with self._lock:
             if self._dim is None:
                 self._dim = vec.dim
@@ -444,8 +417,8 @@ class CachingEmbedder:
     """Memoizes an inner embedder by exact text; one upstream call per distinct text."""
 
     inner: object
-    _cache: dict[str, EmbeddingVector] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
+    _cache: dict[str, EmbeddingVector] = field(default_factory=dict, init=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False)
 
     @property
     def id(self) -> str:

@@ -78,6 +78,14 @@ class TestStepTurn:
         assert len(u.retrieval_log) == 3  # one search per ego in the simple fixtures
         assert u.decision.chosen is u.chosen_ego
 
+    def test_logs_every_provider_call_in_the_callers_log(self):
+        cfg = make_scenario(max_turns=1)
+        provider = ScriptedProvider(simple_run_fixtures(cfg))
+        embedder = HashEmbedder()
+        log = RunLog()
+        step_turn(RunState.start(cfg), provider, embedder, build_indices(cfg, embedder), run_log=log)
+        assert log.count("provider_call") == len(provider.call_log) == 7
+
 
 class TestRunSimulation:
     def test_invalid_config_is_rejected_up_front(self):

@@ -17,9 +17,10 @@ from transact.provider import (
     Role,
     ScriptedProvider,
     ScriptedQueueUnderrun,
-    hash_embed,
+    complete_logged,
     load_fixtures,
 )
+from transact.runlog import RunLog
 
 SYSTEM = ChatMessage(Role.SYSTEM, "system prompt")
 USER = ChatMessage(Role.USER, "go")
@@ -73,12 +74,20 @@ class TestScriptedProvider:
             provider.complete([SYSTEM, USER], caller=CALLER)
 
     def test_call_log_records_caller_and_sizes(self):
-        provider = ScriptedProvider([("Jordan/Child", "hello")])
-        provider.complete([SYSTEM, USER], caller=CALLER)
+        provider = ScriptedProvider([("Jordan/Child", "héllo")])
+        log = RunLog()
+        complete_logged(provider, [SYSTEM, USER], CALLER, log)
         [call] = provider.call_log
         assert call.caller == CALLER
-        assert call.response_bytes == len(b"hello")
-        assert call.request_bytes > 0
+        assert call.messages == (SYSTEM, USER)
+        assert call.response == "héllo"
+        [event] = log.events
+        assert event == {
+            "kind": "provider_call", "backend": "scripted",
+            "agent": "Jordan", "role": "Child", "turn": 0,
+            "request_bytes": len(b"system prompt") + len(b"go"),
+            "response_bytes": len("héllo".encode("utf-8")),
+        }
 
     def test_concurrent_pops_are_safe(self):
         n = 200
@@ -125,10 +134,9 @@ class TestHashEmbedder:
         texts = ["Mistake in the financial report!", "weekend BARBECUE plans", "a b c 9"]
         for text in texts:
             assert HashEmbedder().embed(text) == HashEmbedder().embed(text)
-            assert hash_embed(text) == hash_embed(text)
 
     def test_default_dim_and_unit_norm(self):
-        v = hash_embed("three short tokens")
+        v = HashEmbedder().embed("three short tokens")
         assert v.dim == 256
         assert sum(x * x for x in v.values) == pytest.approx(1.0, abs=1e-12)
 
@@ -157,16 +165,16 @@ class TestHashEmbedder:
         assert got == 0.0
 
     def test_case_and_punctuation_are_normalized(self):
-        assert hash_embed("Financial, REPORT; mistake?") == hash_embed("financial report mistake")
+        assert HashEmbedder().embed("Financial, REPORT; mistake?") == HashEmbedder().embed("financial report mistake")
 
     def test_zero_token_text_is_an_error(self):
         for text in ["", "   ", "!!! --- ???", "_"]:
             with pytest.raises(ValueError, match="token"):
-                hash_embed(text)
+                HashEmbedder().embed(text)
 
     def test_token_counts_matter(self):
-        once = hash_embed("report")
-        twice = hash_embed("report report other")
+        once = HashEmbedder().embed("report")
+        twice = HashEmbedder().embed("report report other")
         assert cosine_similarity(once, twice) < 1.0
 
     def test_random_texts_all_embed_to_unit_vectors(self):
@@ -176,5 +184,5 @@ class TestHashEmbedder:
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 40)))
             if not any(c.isalnum() for c in text):
                 continue
-            v = hash_embed(text, dim=32)
+            v = HashEmbedder(32).embed(text)
             assert sum(x * x for x in v.values) == pytest.approx(1.0, abs=1e-12)

@@ -10,13 +10,18 @@ import pytest
 
 from transact.provider import (
     CachingEmbedder,
+    CallerInfo,
     ChatMessage,
     HttpProvider,
+    ProviderCall,
     ProviderConfig,
     ProviderError,
     RemoteEmbedder,
     Role,
+    ScriptedProvider,
+    complete_logged,
 )
+from transact.runlog import RunLog
 
 MESSAGES = [ChatMessage(Role.SYSTEM, "sys"), ChatMessage(Role.USER, "go")]
 
@@ -132,6 +137,19 @@ class TestHttpProvider:
         with pytest.raises(ProviderError, match="failed"):
             provider.complete(MESSAGES)
 
+    def test_call_is_recorded_like_a_scripted_call(self, stub_server):
+        stub_server.script["/chat/completions"] = [(200, completion_payload("canned reply"))]
+        caller = CallerInfo(agent="Jordan", role="Adult", turn=3)
+        http = HttpProvider(config_for(stub_server), api_key="test-key")
+        scripted = ScriptedProvider([("Jordan/Adult", "canned reply")])
+        http_log, scripted_log = RunLog(), RunLog()
+        assert complete_logged(http, MESSAGES, caller, http_log) == "canned reply"
+        complete_logged(scripted, MESSAGES, caller, scripted_log)
+        assert http.call_log == [ProviderCall(caller, tuple(MESSAGES), "canned reply")]
+        [event], [scripted_event] = http_log.events, scripted_log.events
+        assert event == {**scripted_event, "backend": "http"}
+        assert event["request_bytes"] == len(b"sys") + len(b"go")
+
     def test_byte_cap(self, stub_server):
         stub_server.script["/chat/completions"] = [(200, completion_payload("y" * 64))]
         provider = HttpProvider(config_for(stub_server, response_byte_cap=16), api_key="test-key")
@@ -147,6 +165,17 @@ class TestRemoteEmbedder:
         assert vec.values == (0.6, 0.8)
         assert vec.dim == 2
         assert stub_server.requests[0]["body"] == {"model": "stub-embedder", "input": "hello"}
+
+    @pytest.mark.parametrize(
+        "embedding",
+        [["0.6", "0.8"], [True, False, 1], "abc", 5, None, [[0.6]], [], [float("nan")], [10**400]],
+        ids=["strings", "bools", "string", "number", "null", "nested", "empty", "nan", "overflow"],
+    )
+    def test_malformed_vector_is_a_provider_error(self, stub_server, embedding):
+        stub_server.script["/embeddings"] = [(200, {"data": [{"embedding": embedding}]})]
+        embedder = RemoteEmbedder(config_for(stub_server), api_key="test-key")
+        with pytest.raises(ProviderError, match="embedding"):
+            embedder.embed("hello")
 
     def test_dimension_drift_is_an_error(self, stub_server):
         stub_server.script["/embeddings"] = [
