@@ -8,19 +8,23 @@ simulation run is a pure function of its scenario and fixture file.
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import math
 import re
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from hashlib import blake2b
 from pathlib import Path
 from typing import Sequence
-
-import requests
 
 from .memory import EmbeddingVector, MemoryIndexError
 from .runlog import RunLog
@@ -34,8 +38,6 @@ DEFAULT_TIMEOUT_MS = 30_000
 DEFAULT_RESPONSE_BYTE_CAP = 1_048_576
 #: Completions are sampled greedily, so a live run is as repeatable as its endpoint.
 TEMPERATURE = 0.0
-#: The most requests one HTTP client has in flight at once.
-MAX_IN_FLIGHT = 3
 
 
 class ProviderError(RuntimeError):
@@ -250,11 +252,82 @@ def load_fixtures(path: str | Path) -> list[tuple[str, str]]:
     return out
 
 
+#: Raised on a kept-alive connection the server has already closed, before any
+#: reply arrives (``RemoteDisconnected`` is a ``ConnectionResetError`` too).
+_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
+def _host_port(parts: urllib.parse.SplitResult, what: str, default_port: int) -> tuple[str, int]:
+    try:
+        port = parts.port or default_port
+    except ValueError as e:  # not a number, or out of range
+        raise ProviderError(f"invalid port in the {what}: {e}") from e
+    if not parts.hostname:
+        raise ProviderError(f"the {what} names no host")
+    return parts.hostname, port
+
+
+def _connection_for(url: str, timeout: float) -> tuple[http.client.HTTPConnection, str, dict]:
+    """An unopened connection that reaches ``url``, the request target to send
+    on it, and the headers the proxy needs, if any.
+
+    The proxy is the one ``urllib.request.getproxies()`` names for the URL's
+    scheme, unless ``urllib.request.proxy_bypass`` exempts the host: an
+    ``http://`` request goes to the proxy with the absolute URI as its target,
+    an ``https://`` one through a ``CONNECT`` tunnel.
+    """
+    parts = urllib.parse.urlsplit(url)
+    if parts.scheme not in ("http", "https"):
+        raise ProviderError(f"base URL must be an http:// or https:// URL, got {url!r}")
+    https = parts.scheme == "https"
+    host, port = _host_port(parts, f"base URL {url!r}", 443 if https else 80)
+    target = parts.path + (f"?{parts.query}" if parts.query else "")
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    proxied = bool(proxy) and not urllib.request.proxy_bypass(host)
+    address, proxy_headers = (host, port), {}
+    if proxied:
+        # The proxy URL may carry credentials, so no message repeats it.
+        proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        address = _host_port(proxy_parts, f"{parts.scheme} proxy setting", 80)
+        if proxy_parts.username is not None:
+            user = urllib.parse.unquote(proxy_parts.username)
+            password = urllib.parse.unquote(proxy_parts.password or "")
+            token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+            proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+    if not https:
+        conn = http.client.HTTPConnection(*address, timeout=timeout)
+        if proxied:
+            target = urllib.parse.urlunsplit(parts._replace(fragment=""))
+        return conn, target, proxy_headers
+    conn = http.client.HTTPSConnection(
+        *address, timeout=timeout, context=ssl.create_default_context()
+    )
+    if proxied:
+        conn.set_tunnel(host, port, proxy_headers)
+    return conn, target, {}
+
+
+def _retry_after_s(value: str | None, cap_s: float) -> float | None:
+    """The delta-seconds form of a ``Retry-After`` value, at most ``cap_s``;
+    None when the value is missing or in any other form."""
+    value = (value or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), cap_s)
+
+
 class _Endpoint:
     """One authenticated JSON endpoint of an HTTP client: POST {base_url}/{path}.
 
-    At most ``MAX_IN_FLIGHT`` requests run at once. Connection errors, 429
-    and 5xx replies are retried ``max_retries`` times after a fixed delay.
+    Requests go one at a time over one kept-alive connection, opened on first
+    use (see ``_connection_for`` for proxies). A request that fails on a
+    reused connection before any reply is resent at once on a new one: the
+    server had closed the keep-alive. Any other connection error closes the
+    connection. Connection errors, 429 and 5xx replies are retried
+    ``max_retries`` times, after the reply's ``Retry-After`` seconds on 429
+    and 503 (at most the timeout) or else after ``retry_delay_s``. A body is
+    read no further than ``response_byte_cap`` bytes: a longer one is a
+    provider error.
     """
 
     def __init__(self, config: ProviderConfig, api_key: str, path: str) -> None:
@@ -264,35 +337,74 @@ class _Endpoint:
             )
         self._config = config
         self._url = f"{config.base_url.rstrip('/')}/{path}"
-        self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
-        self._gate = threading.BoundedSemaphore(MAX_IN_FLIGHT)
+        self._conn, self._target, proxy_headers = _connection_for(
+            self._url, config.timeout_ms / 1000.0
+        )
+        self._headers = {
+            "Authorization": f"Bearer {api_key}",
+            "Content-Type": "application/json",
+            **proxy_headers,
+        }
+        self._lock = threading.Lock()
+        # The client owns its connection: it closes when the client is freed.
+        weakref.finalize(self, self._conn.close)
 
     def post(self, payload: dict) -> dict:
         url, config = self._url, self._config
-        timeout = config.timeout_ms / 1000.0
+        body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(config.max_retries + 1):
             if attempt:
-                time.sleep(config.retry_delay_s)
+                time.sleep(delay_s)
+            delay_s = config.retry_delay_s
             try:
-                with self._gate:
-                    resp = requests.post(url, json=payload, headers=self._headers, timeout=timeout)
-            except requests.RequestException as e:
+                with self._lock:
+                    status, retry_after, data = self._exchange(body)
+            except (OSError, http.client.HTTPException) as e:
                 last_error = ProviderError(f"request to {url} failed: {e}")
                 continue
-            if resp.status_code >= 500 or resp.status_code == 429:
-                last_error = ProviderError(
-                    f"{url} returned {resp.status_code}: {resp.text[:200]}"
-                )
-                continue
-            if resp.status_code != 200:
-                raise ProviderError(f"{url} returned {resp.status_code}: {resp.text[:200]}")
-            try:
-                return resp.json()
-            except ValueError as e:
-                raise ProviderError(f"{url} returned non-JSON body: {e}") from e
+            if status == 200:
+                try:
+                    return json.loads(data)
+                except ValueError as e:
+                    raise ProviderError(f"{url} returned non-JSON body: {e}") from e
+            last_error = ProviderError(
+                f"{url} returned {status}: {data.decode('utf-8', 'replace')[:200]}"
+            )
+            if status < 500 and status != 429:
+                raise last_error
+            if status in (429, 503):
+                waited = _retry_after_s(retry_after, config.timeout_ms / 1000.0)
+                if waited is not None:
+                    delay_s = waited
         assert last_error is not None
         raise last_error
+
+    def _exchange(self, body: bytes) -> tuple[int, str | None, bytes]:
+        """Send one request and read its reply: status, ``Retry-After`` and body.
+
+        Any failure closes the connection, so the next request opens a new one.
+        """
+        conn, cap = self._conn, self._config.response_byte_cap
+        try:
+            reused = conn.sock is not None
+            try:
+                conn.request("POST", self._target, body, self._headers)
+                resp = conn.getresponse()
+            except _STALE_CONNECTION:
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", self._target, body, self._headers)
+                resp = conn.getresponse()
+            data = resp.read(cap + 1)
+        except BaseException:
+            conn.close()
+            raise
+        if len(data) > cap:
+            conn.close()
+            raise ProviderError(f"response body from {self._url} exceeds the {cap}-byte cap")
+        return resp.status, resp.getheader("Retry-After"), data
 
 
 class HttpProvider(_ChatBackend):

@@ -22,7 +22,8 @@ class RunLog:
         event = {"kind": kind, **fields}
         with self._lock:
             self.events.append(event)
-        logger.debug("%s", json.dumps(event, sort_keys=True, default=str))
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s", json.dumps(event, sort_keys=True, default=str))
 
     def count(self, kind: str, **match: object) -> int:
         with self._lock:
