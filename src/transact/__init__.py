@@ -66,10 +66,8 @@ from .memory import (
 )
 from .orchestrator import (
     InvalidScenarioError,
-    RunState,
     SimulationError,
     build_indices,
-    check_termination,
     run_simulation,
     step_turn,
 )

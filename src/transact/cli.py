@@ -26,7 +26,6 @@ from .core import (
     parse_scenario,
     parse_transcript,
     serialize_transcript,
-    transcript_hash,
     validate_scenario,
 )
 from .orchestrator import InvalidScenarioError, SimulationError, run_simulation
@@ -72,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except Exception as e:
         if isinstance(e, SimulationError) and args.out:
-            _write_transcript(e.transcript, Path(args.out))
+            Path(args.out).write_bytes(serialize_transcript(e.transcript).encode("utf-8"))
             print(f"partial transcript written to {args.out}", file=sys.stderr)
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -124,11 +123,20 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-turns", type=int, help="override the turn limit")
 
 
-def _read_scenario(path: Path) -> ScenarioConfig:
-    if not path.exists():
-        raise CliInputError(f"scenario file not found: {path}")
+def _read_input(path: Path, what: str) -> str:
+    """Read a UTF-8 input file; a missing or unreadable one is an input error."""
     try:
-        return parse_scenario(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise CliInputError(f"{what} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise CliInputError(f"cannot read {what} file {path}: {e}") from e
+
+
+def _read_scenario(path: Path) -> ScenarioConfig:
+    text = _read_input(path, "scenario")
+    try:
+        return parse_scenario(text)
     except ScenarioFormatError as e:
         raise CliInputError(f"scenario does not parse: {e}") from e
 
@@ -156,11 +164,8 @@ def _build_backend(args: argparse.Namespace):
     if args.provider == "scripted":
         if not args.fixtures:
             raise CliInputError("--provider scripted requires --fixtures")
-        fixtures_path = Path(args.fixtures)
-        if not fixtures_path.exists():
-            raise CliInputError(f"fixture file not found: {fixtures_path}")
         try:
-            provider = ScriptedProvider(load_fixtures(fixtures_path))
+            provider = ScriptedProvider(load_fixtures(args.fixtures))
         except ProviderError as e:
             raise CliInputError(str(e)) from e
         return provider, HashEmbedder()
@@ -169,17 +174,22 @@ def _build_backend(args: argparse.Namespace):
         base_url=os.environ.get(BASE_URL_ENV, ProviderConfig.base_url),
         model=os.environ.get(MODEL_ENV, ProviderConfig.model),
         embedder=os.environ.get(EMBEDDER_ENV, ProviderConfig.embedder),
-        timeout_ms=int(os.environ.get(TIMEOUT_ENV, ProviderConfig.timeout_ms)),
+        timeout_ms=_timeout_ms(),
     )
     api_key = os.environ.get(API_KEY_ENV, "")
     return HttpProvider(config, api_key), CachingEmbedder(RemoteEmbedder(config, api_key))
 
 
-def _write_transcript(t: Transcript, out: Path) -> bytes:
-    """Write the canonical transcript bytes to ``out`` and return them."""
-    data = serialize_transcript(t).encode("utf-8")
-    out.write_bytes(data)
-    return data
+def _timeout_ms() -> int:
+    """The request timeout in ms, a positive integer: zero makes a socket non-blocking."""
+    raw = os.environ.get(TIMEOUT_ENV, str(ProviderConfig.timeout_ms))
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise CliInputError(f"{TIMEOUT_ENV} must be a positive integer (ms), got {raw!r}")
+    return value
 
 
 def _summary_line(u: Utterance) -> str:
@@ -188,15 +198,14 @@ def _summary_line(u: Utterance) -> str:
 
 
 def _finish_run(t: Transcript, args: argparse.Namespace, run_log: RunLog) -> None:
+    # Serialized once: the printed hash is the hash of the bytes written.
+    data = serialize_transcript(t).encode("utf-8")
     if args.out:
         out = Path(args.out)
-        # Serialized once: the hash of the bytes written equals transcript_hash(t).
-        digest = hashlib.sha256(_write_transcript(t, out)).hexdigest()
+        out.write_bytes(data)
         run_log.write_jsonl(out.with_name(out.name + ".log"))
         print(f"transcript written to {out}")
-    else:
-        digest = transcript_hash(t)
-    print(f"transcript hash: {digest}")
+    print(f"transcript hash: {hashlib.sha256(data).hexdigest()}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -248,11 +257,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    path = Path(args.transcript)
-    if not path.exists():
-        raise CliInputError(f"transcript file not found: {path}")
+    text = _read_input(Path(args.transcript), "transcript")
     try:
-        transcript = parse_transcript(path.read_text(encoding="utf-8"))
+        transcript = parse_transcript(text)
     except TranscriptFormatError as e:
         raise CliInputError(f"transcript does not parse: {e}") from e
     report = build_report(transcript, budget=args.budget)

@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from types import UnionType
-from typing import Any, Callable, Mapping, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Mapping, get_args, get_origin, get_type_hints
 
 
 class EgoState(Enum):
@@ -148,6 +148,29 @@ class CriterionScores:
                 raise ValueError(f"{f.name} must be an integer in [0, 10], got {v!r}")
 
 
+def _covers_each_ego_once(egos: Iterable[EgoState]) -> bool:
+    """True when ``egos`` holds each of the three ego states exactly once."""
+    return sorted(e.value for e in egos) == sorted(e.value for e in EGO_ORDER)
+
+
+def _zero_scores() -> dict[EgoState, CriterionScores]:
+    """All-zero marks for every ego state: ``select_ego`` then picks Adult."""
+    return dict.fromkeys(EGO_ORDER, CriterionScores(0, 0, 0, 0))
+
+
+_WEIGHTS_SUM_FAULT = "weights must sum to 1"
+
+
+def _weights_fault(weights: DecisionWeights) -> str | None:
+    """The part of the decision-weights rule that ``weights`` break, or None."""
+    values = weights.as_dict().values()
+    if any(w < 0 for w in values):
+        return "weights must be non-negative"
+    if not abs(sum(values) - 1.0) <= 1e-9:  # also rejects NaN
+        return _WEIGHTS_SUM_FAULT
+    return None
+
+
 def select_ego(
     scores: Mapping[EgoState, CriterionScores], weights: DecisionWeights
 ) -> EgoState:
@@ -156,10 +179,9 @@ def select_ego(
     Ties break by the fixed order Adult > Parent > Child. Pure function; the
     same rule is used when decisions are made and when transcripts are audited.
     """
-    if any(w < 0 for w in weights.as_dict().values()):
-        raise ValueError("weights must be non-negative")
-    if not abs(sum(weights.as_dict().values()) - 1.0) <= 1e-9:  # also rejects NaN
-        raise ValueError("weights must sum to 1")
+    fault = _weights_fault(weights)
+    if fault is not None:
+        raise ValueError(fault)
     best: EgoState | None = None
     best_total = float("-inf")
     for ego in TIE_BREAK_ORDER:
@@ -238,8 +260,7 @@ class Utterance:
     retrieval_log: tuple[RetrievalEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        egos = [c.ego_state for c in self.candidates]
-        if sorted(e.value for e in egos) != sorted(e.value for e in EGO_ORDER):
+        if not _covers_each_ego_once(c.ego_state for c in self.candidates):
             raise ValueError("candidates must cover all three ego states exactly once")
         chosen = next(c for c in self.candidates if c.ego_state is self.chosen_ego)
         if chosen.text != self.text:
@@ -329,11 +350,11 @@ def validate_scenario(cfg: ScenarioConfig) -> list[Violation]:
     if cfg.seed < 0:
         bad("seed", "seed must be a non-negative integer")
 
-    w = cfg.decision_weights.as_dict()
-    if any(v < 0 for v in w.values()):
-        bad("decision_weights", "weights must be non-negative")
-    elif not abs(sum(w.values()) - 1.0) <= 1e-9:  # also rejects NaN
-        bad("decision_weights", f"weights must sum to 1, got {sum(w.values())!r}")
+    fault = _weights_fault(cfg.decision_weights)
+    if fault == _WEIGHTS_SUM_FAULT:
+        bad("decision_weights", f"{fault}, got {sum(cfg.decision_weights.as_dict().values())!r}")
+    elif fault is not None:
+        bad("decision_weights", fault)
 
     return out
 
@@ -341,7 +362,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[Violation]:
 def _validate_personas(agent: AgentProfile, agent_key: str) -> list[Violation]:
     out: list[Violation] = []
     have = [p.ego_state for p in agent.personas]
-    if sorted(e.value for e in have) != sorted(e.value for e in EGO_ORDER):
+    if not _covers_each_ego_once(have):
         out.append(
             Violation(
                 f"agents[{agent_key}].personas",

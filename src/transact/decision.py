@@ -19,6 +19,8 @@ from .core import (
     EGO_ORDER,
     EgoResponse,
     EgoState,
+    _covers_each_ego_once,
+    _zero_scores,
     select_ego,
 )
 from .ego_agent import render_history
@@ -53,9 +55,9 @@ def render_decision_prompt(
 ) -> list[ChatMessage]:
     """Build the scoring prompt: situation, history, verbatim life script, and
     the three candidates in fixed Parent, Adult, Child order."""
-    by_ego = {c.ego_state: c for c in candidates}
-    if set(by_ego) != set(EGO_ORDER) or len(candidates) != 3:
+    if not _covers_each_ego_once(c.ego_state for c in candidates):
         raise ValueError("candidates must cover all three ego states exactly once")
+    by_ego = {c.ego_state: c for c in candidates}
     blocks = [
         f"{ego.value} ({by_ego[ego].emotion}, {by_ego[ego].tone}): {by_ego[ego].text}"
         for ego in EGO_ORDER
@@ -109,11 +111,6 @@ def _clamp(value: int, ego: EgoState, criterion: str) -> int:
     return clamped
 
 
-def _fallback_scores() -> dict[EgoState, CriterionScores]:
-    zero = CriterionScores(0, 0, 0, 0)
-    return {ego: zero for ego in EGO_ORDER}
-
-
 def decide(
     candidates: Sequence[EgoResponse],
     history: tuple[tuple[str, str], ...],
@@ -123,7 +120,7 @@ def decide(
     agent: str,
     turn: int,
     provider,
-    run_log: RunLog | None = None,
+    run_log: RunLog,
 ) -> DecisionRecord:
     """One full decision round: prompt, score, select.
 
@@ -132,29 +129,30 @@ def decide(
     consistent with the selection rule) with a logged "decision fallback"
     rationale.
     """
-    log = run_log or RunLog()
     caller = CallerInfo(agent=agent, role="decision", turn=turn)
     messages = render_decision_prompt(candidates, history, opening_prompt, life_script, agent)
     scores: Mapping[EgoState, CriterionScores] | None = None
     rationale = ""
     for attempt in range(2):
-        raw = complete_logged(provider, messages, caller, log)
+        raw = complete_logged(provider, messages, caller, run_log)
         try:
             scores, rationale = parse_scores(raw)
             break
         except MalformedDecisionError as e:
-            log.record("decision_malformed", agent=agent, turn=turn, attempt=attempt, error=str(e))
+            run_log.record(
+                "decision_malformed", agent=agent, turn=turn, attempt=attempt, error=str(e)
+            )
             logger.warning("malformed decision reply for %s turn %d: %s", agent, turn, e)
             messages = messages + [
                 ChatMessage(Role.ASSISTANT, raw),
                 ChatMessage(Role.USER, _RETRY_NOTE),
             ]
     if scores is None:
-        scores = _fallback_scores()
+        scores = _zero_scores()
         rationale = FALLBACK_RATIONALE
         logger.warning("decision fallback to Adult for %s turn %d", agent, turn)
     chosen = select_ego(scores, weights)
-    log.record("decision", agent=agent, turn=turn, chosen=chosen.value)
+    run_log.record("decision", agent=agent, turn=turn, chosen=chosen.value)
     return DecisionRecord(
         scores=scores, weights=weights, chosen=chosen, rationale=rationale, human=False
     )

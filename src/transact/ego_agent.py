@@ -74,7 +74,6 @@ class EgoTurnOutcome:
     response: EgoResponse
     retrieval: tuple[RetrievalEvent, ...]
     malformed_steps: int
-    provider_calls: int
 
 
 def parse_react_step(raw: str) -> ReactStep:
@@ -190,7 +189,7 @@ def run_ego_turn(
     index: MemoryIndex,
     provider,
     embedder: Embedder,
-    run_log: RunLog | None = None,
+    run_log: RunLog,
 ) -> EgoTurnOutcome:
     """Run the budgeted search-then-answer loop for one ego state.
 
@@ -206,7 +205,6 @@ def run_ego_turn(
             f"index partition ({index.agent}, {index.ego_state.value}) does not match "
             f"the ego turn ({ctx.agent}, {ego.value})"
         )
-    log = run_log or RunLog()
     caller = CallerInfo(agent=ctx.agent, role=ego.value, turn=ctx.turn)
     messages: list[ChatMessage] = [
         ChatMessage(Role.SYSTEM, _system_prompt(ctx)),
@@ -214,7 +212,6 @@ def run_ego_turn(
     ]
     searches = 0
     malformed = 0
-    calls = 0
     retrieval: list[RetrievalEvent] = []
     memories_used: list[str] = []
 
@@ -228,16 +225,15 @@ def run_ego_turn(
             searches_performed=searches,
         )
         assert response.searches_performed <= ctx.tool_budget
-        return EgoTurnOutcome(response, tuple(retrieval), malformed, calls)
+        return EgoTurnOutcome(response, tuple(retrieval), malformed)
 
     for _ in range(ctx.tool_budget + 2):
-        raw = complete_logged(provider, messages, caller, log, stop_markers=STOP_MARKERS)
-        calls += 1
+        raw = complete_logged(provider, messages, caller, run_log, stop_markers=STOP_MARKERS)
         try:
             step = parse_react_step(raw)
         except MalformedStepError as e:
             malformed += 1
-            log.record(
+            run_log.record(
                 "react_step", agent=ctx.agent, ego=ego.value, turn=ctx.turn,
                 action="malformed", searches=searches,
             )
@@ -249,7 +245,7 @@ def run_ego_turn(
             continue
 
         if isinstance(step.action, FinalAnswer):
-            log.record(
+            run_log.record(
                 "react_step", agent=ctx.agent, ego=ego.value, turn=ctx.turn,
                 action="final_answer", searches=searches,
             )
@@ -262,7 +258,7 @@ def run_ego_turn(
         assert isinstance(step.action, SearchMemories)
         if searches >= ctx.tool_budget:
             # Budget spent and the directive was ignored: coerce to an answer.
-            log.record(
+            run_log.record(
                 "react_step", agent=ctx.agent, ego=ego.value, turn=ctx.turn,
                 action="coerced_final", searches=searches,
             )
@@ -281,7 +277,7 @@ def run_ego_turn(
         for rec, _ in hits:
             if rec.id not in memories_used:
                 memories_used.append(rec.id)
-        log.record(
+        run_log.record(
             "react_step", agent=ctx.agent, ego=ego.value, turn=ctx.turn,
             action="search", query=step.action.query, hits=len(hits), searches=searches,
         )

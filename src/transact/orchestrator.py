@@ -9,11 +9,9 @@ see each other's life scripts, memories, or losing candidates.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .core import (
-    CriterionScores,
     DecisionRecord,
     EGO_ORDER,
     EgoResponse,
@@ -24,6 +22,7 @@ from .core import (
     Transcript,
     Utterance,
     Violation,
+    _zero_scores,
     fingerprint_scenario,
     validate_scenario,
 )
@@ -57,25 +56,6 @@ class SimulationError(RuntimeError):
         self.cause = cause
 
 
-@dataclass
-class RunState:
-    scenario: ScenarioConfig
-    utterances: list[Utterance] = field(default_factory=list)
-    speaker: str = ""
-    turn: int = 0
-
-    @classmethod
-    def start(cls, scenario: ScenarioConfig) -> "RunState":
-        return cls(scenario=scenario, speaker=scenario.first_speaker)
-
-
-def check_termination(state: RunState) -> TerminationReason | None:
-    """Stop with MaxTurns once the turn counter reaches the limit; else continue (None)."""
-    if state.turn >= state.scenario.max_turns:
-        return TerminationReason.MAX_TURNS
-    return None
-
-
 def build_indices(cfg: ScenarioConfig, embedder: Embedder) -> dict[PartitionKey, MemoryIndex]:
     """Build all six partition indices."""
     indices: dict[PartitionKey, MemoryIndex] = {}
@@ -87,30 +67,36 @@ def build_indices(cfg: ScenarioConfig, embedder: Embedder) -> dict[PartitionKey,
     return indices
 
 
+def _speaker_at(cfg: ScenarioConfig, turn: int) -> str:
+    """The first speaker takes turn 0; the two agents alternate after that."""
+    first = cfg.first_speaker
+    return first if turn % 2 == 0 else cfg.other_agent(first).name
+
+
 def step_turn(
-    state: RunState,
+    cfg: ScenarioConfig,
+    utterances: Sequence[Utterance],
     provider,
     embedder: Embedder,
     indices: Mapping[PartitionKey, MemoryIndex],
-    *,
-    run_log: RunLog | None = None,
+    run_log: RunLog,
 ) -> Utterance:
-    """Run one full turn for the current speaker and append it to the state.
+    """Run the next turn, ``len(utterances)``, and return its utterance.
 
-    The three ego turns run in EGO_ORDER and share only immutable context.
+    The speaker follows from the turn number. The three ego turns run in
+    EGO_ORDER and share only immutable context. ``utterances`` is not changed.
     """
-    if state.turn >= state.scenario.max_turns:
-        raise ValueError(f"turn counter {state.turn} has reached max_turns")
-    log = run_log or RunLog()
-    cfg = state.scenario
-    agent = cfg.agent(state.speaker)
-    history = tuple((u.speaker, u.text) for u in state.utterances)
+    turn = len(utterances)
+    if turn >= cfg.max_turns:
+        raise ValueError(f"turn {turn} has reached max_turns")
+    agent = cfg.agent(_speaker_at(cfg, turn))
+    history = tuple((u.speaker, u.text) for u in utterances)
 
     outcomes = []
     for ego in EGO_ORDER:
         ctx = EgoTurnContext(
             agent=agent.name,
-            turn=state.turn,
+            turn=turn,
             opening_prompt=cfg.opening_prompt,
             history=history,
             descriptor=agent.persona(ego).descriptor,
@@ -118,7 +104,7 @@ def step_turn(
             k=cfg.k,
         )
         outcomes.append(
-            run_ego_turn(ctx, ego, indices[(agent.name, ego)], provider, embedder, log)
+            run_ego_turn(ctx, ego, indices[(agent.name, ego)], provider, embedder, run_log)
         )
 
     candidates = tuple(o.response for o in outcomes)
@@ -129,13 +115,13 @@ def step_turn(
         agent.life_script,
         cfg.decision_weights,
         agent.name,
-        state.turn,
+        turn,
         provider,
-        log,
+        run_log,
     )
     chosen_text = next(c.text for c in candidates if c.ego_state is decision.chosen)
     utterance = Utterance(
-        turn=state.turn,
+        turn=turn,
         speaker=agent.name,
         chosen_ego=decision.chosen,
         text=chosen_text,
@@ -143,32 +129,29 @@ def step_turn(
         decision=decision,
         retrieval_log=tuple(ev for o in outcomes for ev in o.retrieval),
     )
-    log.record(
-        "utterance", turn=state.turn, speaker=agent.name, chosen=decision.chosen.value,
+    run_log.record(
+        "utterance", turn=turn, speaker=agent.name, chosen=decision.chosen.value,
         malformed_steps=sum(o.malformed_steps for o in outcomes),
     )
-    _advance(state, utterance)
     return utterance
 
 
-def _advance(state: RunState, utterance: Utterance) -> None:
-    state.utterances.append(utterance)
-    state.speaker = state.scenario.other_agent(state.speaker).name
-    state.turn += 1
-
-
 def _human_turn(
-    state: RunState, input_fn: Callable[[str], str], run_log: RunLog
+    cfg: ScenarioConfig,
+    utterances: Sequence[Utterance],
+    input_fn: Callable[[str], str],
+    run_log: RunLog,
 ) -> Utterance:
-    """Read one line as the human-played agent's utterance.
+    """Read one line as the human-played agent's utterance for the next turn.
 
     The schema stays uniform: the typed line becomes all three candidates,
     the decision is a synthetic all-zero record flagged human=true, and the
     chosen ego is Adult (consistent with the selection tie-break).
     """
-    cfg = state.scenario
+    turn = len(utterances)
+    speaker = _speaker_at(cfg, turn)
     while True:
-        line = input_fn(f"{state.speaker}> ")  # EOFError propagates to the run loop
+        line = input_fn(f"{speaker}> ")  # EOFError propagates to the run loop
         text = line.strip()
         if text:
             break
@@ -176,25 +159,23 @@ def _human_turn(
         EgoResponse(ego_state=ego, text=text, emotion="unspecified", tone="unspecified")
         for ego in EGO_ORDER
     )
-    zero = CriterionScores(0, 0, 0, 0)
     decision = DecisionRecord(
-        scores={ego: zero for ego in EGO_ORDER},
+        scores=_zero_scores(),
         weights=cfg.decision_weights,
         chosen=EgoState.ADULT,
         rationale=HUMAN_RATIONALE,
         human=True,
     )
     utterance = Utterance(
-        turn=state.turn,
-        speaker=state.speaker,
+        turn=turn,
+        speaker=speaker,
         chosen_ego=EgoState.ADULT,
         text=text,
         candidates=candidates,
         decision=decision,
         retrieval_log=(),
     )
-    run_log.record("utterance", turn=state.turn, speaker=state.speaker, chosen="Adult", human=True)
-    _advance(state, utterance)
+    run_log.record("utterance", turn=turn, speaker=speaker, chosen="Adult", human=True)
     return utterance
 
 
@@ -227,32 +208,35 @@ def run_simulation(
     fingerprint = fingerprint_scenario(cfg)
     indices = build_indices(cfg, embedder)
     provider_id = ProviderId(kind=provider.kind, model=provider.model, embedder=embedder.id)
-    state = RunState.start(cfg)
+    utterances: list[Utterance] = []
 
     def snapshot(reason: TerminationReason | None) -> Transcript:
         return Transcript(
             scenario_fingerprint=fingerprint,
             provider=provider_id,
             seed=cfg.seed,
-            utterances=tuple(state.utterances),
+            utterances=tuple(utterances),
             termination_reason=reason,
         )
 
-    while check_termination(state) is None:
-        log.record("turn_start", turn=state.turn, speaker=state.speaker)
+    while len(utterances) < cfg.max_turns:
+        turn = len(utterances)
+        speaker = _speaker_at(cfg, turn)
+        log.record("turn_start", turn=turn, speaker=speaker)
         try:
-            if human_agent is not None and state.speaker == human_agent:
-                assert input_fn is not None
-                utterance = _human_turn(state, input_fn, log)
+            if speaker == human_agent:
+                utterance = _human_turn(cfg, utterances, input_fn, log)
             else:
-                utterance = step_turn(state, provider, embedder, indices, run_log=log)
+                utterance = step_turn(cfg, utterances, provider, embedder, indices, log)
+            # Kept before the callback, so a stop raised there keeps this turn.
+            utterances.append(utterance)
             if on_utterance is not None:
                 on_utterance(utterance)
         except (ProviderStopSignal, EOFError):
-            logger.info("provider layer stopped the run at turn %d", state.turn)
+            logger.info("provider layer stopped the run at turn %d", turn)
             return snapshot(TerminationReason.PROVIDER_STOP)
         except Exception as e:
             raise SimulationError(
-                f"turn {state.turn} ({state.speaker}) failed: {e}", snapshot(None), e
+                f"turn {turn} ({speaker}) failed: {e}", snapshot(None), e
             ) from e
     return snapshot(TerminationReason.MAX_TURNS)

@@ -232,7 +232,13 @@ class ScriptedProvider(_ChatBackend):
 def load_fixtures(path: str | Path) -> list[tuple[str, str]]:
     """Read a fixture file: an ordered JSON array of {"key", "response"} objects."""
     try:
-        tree = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ProviderError(f"fixture file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ProviderError(f"cannot read fixture file {path}: {e}") from e
+    try:
+        tree = json.loads(text)
     except json.JSONDecodeError as e:
         raise ProviderError(f"fixture file is not valid JSON: {e}") from e
     if not isinstance(tree, list):

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import asset_path
 from helpers import drop_first_score, make_scenario, simple_run_fixtures
+from test_acceptance import GOLDEN_RUN_SHA256
 from transact.cli import EXIT_GATE, EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, main
 from transact.core import (
     parse_transcript,
@@ -43,6 +44,20 @@ def run_cli(*args: str) -> int:
     return main([str(a) for a in args])
 
 
+def unreadable_inputs(tmp_path):
+    """A missing file, a directory and a file that is not UTF-8, each with a
+    template of the text its error message must carry."""
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"opening_prompt": "caf\xe9"}'.encode("latin-1"))
+    return [
+        (tmp_path / "absent.json", "error: {} file not found"),
+        (directory, "error: cannot read {} file"),
+        (latin1, "error: cannot read {} file"),
+    ]
+
+
 class TestRun:
     def test_scripted_end_to_end(self, tmp_path, scenario_file, fixture_file, capsys):
         scenario, _ = scenario_file
@@ -71,8 +86,30 @@ class TestRun:
         assert printed == transcript_hash(parse_transcript(out.read_text(encoding="utf-8")))
 
     def test_missing_scenario_file_is_input_error(self, tmp_path, capsys):
-        code = run_cli("run", "--scenario", tmp_path / "absent.json", "--fixtures", "x")
+        for path, message in unreadable_inputs(tmp_path):
+            code = run_cli("run", "--scenario", path, "--fixtures", "x")
+            assert code == EXIT_INPUT, path
+            assert message.format("scenario") in capsys.readouterr().err
+
+    def test_unreadable_fixture_file_is_input_error(self, tmp_path, scenario_file, capsys):
+        scenario, _ = scenario_file
+        for path, message in unreadable_inputs(tmp_path):
+            code = run_cli("run", "--scenario", scenario, "--fixtures", path)
+            assert code == EXIT_INPUT, path
+            assert message.format("fixture") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_timeout_that_is_not_a_positive_integer_is_input_error(
+        self, scenario_file, monkeypatch, capsys, value
+    ):
+        # No credential either: a run that got past the check would stop
+        # before it could open a connection.
+        monkeypatch.delenv("TRANSACT_API_KEY", raising=False)
+        monkeypatch.setenv("TRANSACT_TIMEOUT_MS", value)
+        scenario, _ = scenario_file
+        code = run_cli("run", "--scenario", scenario, "--provider", "http")
         assert code == EXIT_INPUT
+        assert "TRANSACT_TIMEOUT_MS" in capsys.readouterr().err
 
     def test_invalid_scenario_lists_violations(self, tmp_path, capsys):
         cfg = make_scenario()
@@ -149,6 +186,16 @@ class TestRun:
         t = parse_transcript(out.read_text(encoding="utf-8"))
         assert len(t.utterances) == 10
 
+    def test_hash_without_out_is_the_golden_hash(self, capsys):
+        code = run_cli(
+            "run",
+            "--scenario", asset_path("stupid.json"),
+            "--fixtures", asset_path("stupid_fixtures.json"),
+        )
+        assert code == EXIT_OK
+        printed = re.search(r"transcript hash: (\w+)", capsys.readouterr().out).group(1)
+        assert printed == GOLDEN_RUN_SHA256
+
 
 class TestAnalyze:
     @pytest.fixture()
@@ -171,8 +218,10 @@ class TestAnalyze:
         empty.write_text("", encoding="utf-8")
         assert run_cli("analyze", "--transcript", empty) == EXIT_INPUT
 
-    def test_missing_file_is_input_error(self, tmp_path):
-        assert run_cli("analyze", "--transcript", tmp_path / "nope.json") == EXIT_INPUT
+    def test_missing_file_is_input_error(self, tmp_path, capsys):
+        for path, message in unreadable_inputs(tmp_path):
+            assert run_cli("analyze", "--transcript", path) == EXIT_INPUT, path
+            assert message.format("transcript") in capsys.readouterr().err
 
     def test_hits_and_scores_length_mismatch_is_input_error(self, tmp_path, golden_transcript):
         tree = transcript_to_tree(golden_transcript)

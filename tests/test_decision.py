@@ -24,6 +24,7 @@ from transact.decision import (
     render_decision_prompt,
 )
 from transact.provider import ScriptedProvider
+from transact.runlog import RunLog
 
 
 def three_candidates() -> tuple[EgoResponse, ...]:
@@ -229,7 +230,8 @@ class TestDecide:
     def test_well_formed_reply_selects_scored_winner(self):
         provider = ScriptedProvider([("Jordan/decision", scores_reply(EgoState.CHILD))])
         record = decide(
-            three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", 0, provider
+            three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", 0, provider,
+            RunLog(),
         )
         assert record.chosen is EgoState.CHILD
         assert record.rationale == "picked by the test"
@@ -243,7 +245,8 @@ class TestDecide:
             ]
         )
         record = decide(
-            three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", 0, provider
+            three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", 0, provider,
+            RunLog(),
         )
         assert record.chosen is EgoState.PARENT
         retry_messages = provider.call_log[1].messages
@@ -258,7 +261,8 @@ class TestDecide:
         )
         with caplog.at_level("WARNING"):
             record = decide(
-                three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", 0, provider
+                three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", 0, provider,
+                RunLog(),
             )
         assert record.chosen is EgoState.ADULT
         assert record.rationale == FALLBACK_RATIONALE

@@ -19,6 +19,7 @@ from transact.ego_agent import (
 )
 from transact.memory import build_index
 from transact.provider import HashEmbedder, ProviderError, ScriptedProvider
+from transact.runlog import RunLog
 
 
 class TestParseReactStep:
@@ -154,7 +155,8 @@ class TestRunEgoTurn:
                 ("Jordan/Child", final_step("I cannot deal with this.", "panic", "helpless")),
             ]
         )
-        outcome = run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder)
+        log = RunLog()
+        outcome = run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder, log)
         r = outcome.response
         assert r.searches_performed == 1
         assert r.text == "I cannot deal with this."
@@ -162,7 +164,7 @@ class TestRunEgoTurn:
         assert len(r.memories_used) == 3  # k hits from one search
         assert set(r.memories_used) <= set(idx.record_ids)
         assert outcome.retrieval[0].query == "mistake in the report"
-        assert outcome.provider_calls == 2
+        assert log.count("provider_call") == 2
 
     def test_adversarial_ego_is_capped_at_budget(self):
         embedder = HashEmbedder()
@@ -170,11 +172,12 @@ class TestRunEgoTurn:
         provider = ScriptedProvider(
             [("Jordan/Child", search_step(f"attempt {i}")) for i in range(12)]
         )
-        outcome = run_ego_turn(make_ctx(budget=5), EgoState.CHILD, idx, provider, embedder)
+        log = RunLog()
+        outcome = run_ego_turn(make_ctx(budget=5), EgoState.CHILD, idx, provider, embedder, log)
         assert outcome.response.searches_performed == 5
         assert len(outcome.retrieval) == 5
         # Budget searches, then one coerced finalization call.
-        assert outcome.provider_calls == 6
+        assert log.count("provider_call") == 6
         assert provider.remaining() == 6
 
     def test_empty_index_observation_then_original_answer(self):
@@ -186,7 +189,7 @@ class TestRunEgoTurn:
                 ("Jordan/Child", final_step("I will just say what I feel.", "worry", "soft")),
             ]
         )
-        outcome = run_ego_turn(make_ctx(), EgoState.CHILD, empty, provider, embedder)
+        outcome = run_ego_turn(make_ctx(), EgoState.CHILD, empty, provider, embedder, RunLog())
         assert outcome.response.memories_used == ()
         assert outcome.response.text == "I will just say what I feel."
         observation = provider.call_log[1].messages[-1].content
@@ -201,7 +204,7 @@ class TestRunEgoTurn:
                 ("Jordan/Child", final_step("Recovered.", "calm", "even")),
             ]
         )
-        outcome = run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder)
+        outcome = run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder, RunLog())
         assert outcome.response.text == "Recovered."
         assert outcome.malformed_steps == 1
         retry_note = provider.call_log[1].messages[-1].content
@@ -216,11 +219,12 @@ class TestRunEgoTurn:
                 ("Jordan/Child", "Action: search_memories\nAction Input:  "),
             ]
         )
-        outcome = run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder)
+        log = RunLog()
+        outcome = run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder, log)
         assert outcome.response.searches_performed == 0
         assert outcome.response.text  # non-empty fallback
         assert outcome.malformed_steps == 2
-        assert outcome.provider_calls == 2
+        assert log.count("provider_call") == 2
 
     def test_termination_bound_holds_in_all_scripted_paths(self):
         embedder = HashEmbedder()
@@ -233,8 +237,11 @@ class TestRunEgoTurn:
         ]
         for script in scripts:
             provider = ScriptedProvider([("Jordan/Child", s) for s in script])
-            outcome = run_ego_turn(make_ctx(budget=budget), EgoState.CHILD, idx, provider, embedder)
-            assert outcome.provider_calls <= budget + 2
+            log = RunLog()
+            outcome = run_ego_turn(
+                make_ctx(budget=budget), EgoState.CHILD, idx, provider, embedder, log
+            )
+            assert log.count("provider_call") <= budget + 2
             assert outcome.response.searches_performed <= budget
 
     def test_identical_inputs_give_identical_responses(self):
@@ -244,8 +251,12 @@ class TestRunEgoTurn:
             ("Jordan/Child", search_step("mistake report")),
             ("Jordan/Child", final_step("Deterministic line.", "calm", "flat")),
         ]
-        first = run_ego_turn(make_ctx(), EgoState.CHILD, idx, ScriptedProvider(script), embedder)
-        second = run_ego_turn(make_ctx(), EgoState.CHILD, idx, ScriptedProvider(script), embedder)
+        first, second = (
+            run_ego_turn(
+                make_ctx(), EgoState.CHILD, idx, ScriptedProvider(script), embedder, RunLog()
+            )
+            for _ in range(2)
+        )
         assert first.response == second.response
         assert first.retrieval == second.retrieval
 
@@ -254,14 +265,14 @@ class TestRunEgoTurn:
         idx = child_index()
         provider = ScriptedProvider([])
         with pytest.raises(ValueError, match="partition"):
-            run_ego_turn(make_ctx(), EgoState.ADULT, idx, provider, embedder)
+            run_ego_turn(make_ctx(), EgoState.ADULT, idx, provider, embedder, RunLog())
 
     def test_provider_error_propagates(self):
         embedder = HashEmbedder()
         idx = child_index()
         provider = ScriptedProvider([])  # immediate underrun
         with pytest.raises(ProviderError):
-            run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder)
+            run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder, RunLog())
 
     def test_observations_accumulate_in_the_scratchpad(self):
         embedder = HashEmbedder()
@@ -273,7 +284,7 @@ class TestRunEgoTurn:
                 ("Jordan/Child", final_step("done")),
             ]
         )
-        run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder)
+        run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder, RunLog())
         final_call_messages = provider.call_log[2].messages
         observations = [m.content for m in final_call_messages if m.content.startswith("Observation:")]
         assert len(observations) == 2
@@ -288,7 +299,9 @@ class TestRunEgoTurn:
                 ("Jordan/Child", final_step("closing line")),
             ]
         )
-        outcome = run_ego_turn(make_ctx(budget=2), EgoState.CHILD, idx, provider, embedder)
+        outcome = run_ego_turn(
+            make_ctx(budget=2), EgoState.CHILD, idx, provider, embedder, RunLog()
+        )
         assert outcome.response.searches_performed == 2
         last_prompt = provider.call_log[2].messages
         assert any("budget exhausted" in m.content.lower() for m in last_prompt)

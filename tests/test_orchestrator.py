@@ -17,10 +17,8 @@ from transact.core import (
 from transact.memory import MemoryIndexError
 from transact.orchestrator import (
     InvalidScenarioError,
-    RunState,
     SimulationError,
     build_indices,
-    check_termination,
     run_simulation,
     step_turn,
 )
@@ -28,52 +26,35 @@ from transact.provider import HashEmbedder, ProviderStopSignal, ScriptedProvider
 from transact.runlog import RunLog
 
 
-class TestCheckTermination:
-    def test_below_limit_continues(self):
-        state = RunState.start(make_scenario(max_turns=10))
-        state.turn = 9
-        assert check_termination(state) is None
-
-    def test_at_limit_stops(self):
-        state = RunState.start(make_scenario(max_turns=10))
-        state.turn = 10
-        assert check_termination(state) is TerminationReason.MAX_TURNS
-
-    def test_single_turn_run_stops_after_one_step(self):
-        cfg = make_scenario(max_turns=1)
-        state = RunState.start(cfg)
-        assert check_termination(state) is None
-        provider = ScriptedProvider(simple_run_fixtures(cfg))
-        embedder = HashEmbedder()
-        step_turn(state, provider, embedder, build_indices(cfg, embedder))
-        assert check_termination(state) is TerminationReason.MAX_TURNS
-
-
 class TestStepTurn:
     def test_turn_zero_uses_first_speaker_and_flips(self):
-        cfg = make_scenario(max_turns=2, first_speaker="Alex")
-        state = RunState.start(cfg)
+        cfg = make_scenario(max_turns=2, first_speaker="Jordan")
         embedder = HashEmbedder()
+        indices = build_indices(cfg, embedder)
         provider = ScriptedProvider(simple_run_fixtures(cfg))
-        utterance = step_turn(state, provider, embedder, build_indices(cfg, embedder))
-        assert utterance.turn == 0
-        assert utterance.speaker == "Alex"
-        assert state.speaker == "Jordan"
-        assert state.turn == 1
+        utterances = []
+        first = step_turn(cfg, utterances, provider, embedder, indices, RunLog())
+        assert utterances == []  # the caller keeps the utterance, not step_turn
+        assert (first.turn, first.speaker) == (0, "Jordan")
+        second = step_turn(cfg, [first], provider, embedder, indices, RunLog())
+        assert (second.turn, second.speaker) == (1, "Alex")
 
     def test_rejected_when_turn_counter_at_limit(self):
         cfg = make_scenario(max_turns=1)
-        state = RunState.start(cfg)
-        state.turn = 1
+        embedder = HashEmbedder()
+        indices = build_indices(cfg, embedder)
+        provider = ScriptedProvider(simple_run_fixtures(cfg))
+        done = [step_turn(cfg, [], provider, embedder, indices, RunLog())]
+        calls = len(provider.call_log)
         with pytest.raises(ValueError, match="max_turns"):
-            step_turn(state, ScriptedProvider([]), HashEmbedder(), {})
+            step_turn(cfg, done, provider, embedder, indices, RunLog())
+        assert len(provider.call_log) == calls
 
     def test_candidates_cover_all_egos_and_retrieval_is_logged(self):
         cfg = make_scenario(max_turns=1)
-        state = RunState.start(cfg)
         embedder = HashEmbedder()
         provider = ScriptedProvider(simple_run_fixtures(cfg))
-        u = step_turn(state, provider, embedder, build_indices(cfg, embedder))
+        u = step_turn(cfg, [], provider, embedder, build_indices(cfg, embedder), RunLog())
         assert sorted(c.ego_state.value for c in u.candidates) == ["Adult", "Child", "Parent"]
         assert len(u.retrieval_log) == 3  # one search per ego in the simple fixtures
         assert u.decision.chosen is u.chosen_ego
@@ -83,7 +64,7 @@ class TestStepTurn:
         provider = ScriptedProvider(simple_run_fixtures(cfg))
         embedder = HashEmbedder()
         log = RunLog()
-        step_turn(RunState.start(cfg), provider, embedder, build_indices(cfg, embedder), run_log=log)
+        step_turn(cfg, [], provider, embedder, build_indices(cfg, embedder), log)
         assert log.count("provider_call") == len(provider.call_log) == 7
 
 
@@ -205,6 +186,18 @@ class TestRunSimulation:
         provider = StopAfterOneTurn(simple_run_fixtures(dataclasses.replace(cfg, max_turns=1)))
         t = run_simulation(cfg, provider, HashEmbedder())
         assert len(t.utterances) == 1
+        assert t.termination_reason is TerminationReason.PROVIDER_STOP
+
+    def test_stop_raised_by_on_utterance_keeps_that_turn(self):
+        cfg = make_scenario(max_turns=3)
+
+        def stop(u) -> None:
+            raise ProviderStopSignal("seen one")
+
+        t = run_simulation(
+            cfg, ScriptedProvider(simple_run_fixtures(cfg)), HashEmbedder(), on_utterance=stop
+        )
+        assert [u.turn for u in t.utterances] == [0]
         assert t.termination_reason is TerminationReason.PROVIDER_STOP
 
     def test_run_log_has_a_record_per_provider_call_and_react_step(self):

@@ -127,6 +127,13 @@ class TestFixtureFile:
         path.write_text("not json", encoding="utf-8")
         with pytest.raises(ProviderError, match="JSON"):
             load_fixtures(path)
+        path.write_bytes('[{"key": "A/Adult", "response": "caf\xe9"}]'.encode("latin-1"))
+        with pytest.raises(ProviderError, match="cannot read fixture file"):
+            load_fixtures(path)
+        with pytest.raises(ProviderError, match="cannot read fixture file"):
+            load_fixtures(tmp_path)  # a directory
+        with pytest.raises(ProviderError, match="fixture file not found"):
+            load_fixtures(tmp_path / "absent.json")
 
 
 class TestHashEmbedder:
