@@ -177,7 +177,10 @@ def _build_backend(args: argparse.Namespace):
         timeout_ms=_timeout_ms(),
     )
     api_key = os.environ.get(API_KEY_ENV, "")
-    return HttpProvider(config, api_key), CachingEmbedder(RemoteEmbedder(config, api_key))
+    try:
+        return HttpProvider(config, api_key), CachingEmbedder(RemoteEmbedder(config, api_key))
+    except ProviderError as e:  # a bad base URL or no credential: checked before any request
+        raise CliInputError(str(e)) from e
 
 
 def _timeout_ms() -> int:
@@ -197,6 +200,19 @@ def _summary_line(u: Utterance) -> str:
     return f"[{u.turn:02d}] {u.speaker} ({u.chosen_ego.value}): {text[:80]}"
 
 
+def _check_out(args: argparse.Namespace) -> None:
+    """Reject an ``--out`` path that cannot be written, before the run starts;
+    nothing is created."""
+    if not args.out:
+        return
+    out = Path(args.out)
+    for path in (out, out.with_name(out.name + ".log")):
+        if path.is_dir():
+            raise CliInputError(f"--out {out}: {path} is a directory")
+    if not out.parent.is_dir():
+        raise CliInputError(f"--out {out}: {out.parent} is not a directory")
+
+
 def _finish_run(t: Transcript, args: argparse.Namespace, run_log: RunLog) -> None:
     # Serialized once: the printed hash is the hash of the bytes written.
     data = serialize_transcript(t).encode("utf-8")
@@ -211,6 +227,7 @@ def _finish_run(t: Transcript, args: argparse.Namespace, run_log: RunLog) -> Non
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_scenario(args)
     provider, embedder = _build_backend(args)
+    _check_out(args)
     run_log = RunLog()
     transcript = run_simulation(cfg, provider, embedder, run_log=run_log)
     for u in transcript.utterances:
@@ -224,6 +241,7 @@ def cmd_interactive(args: argparse.Namespace) -> int:
     if args.play_as not in {a.name for a in cfg.agents}:
         raise CliInputError(f"--as {args.play_as!r} does not name a scenario agent")
     provider, embedder = _build_backend(args)
+    _check_out(args)
     run_log = RunLog()
     print(f"You are {args.play_as}. Situation: {cfg.opening_prompt}")
     print("Type your lines; Ctrl-D ends the conversation.")

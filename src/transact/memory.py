@@ -7,16 +7,24 @@ use exactly rounded summation (``math.fsum``), so scores are bit-identical
 across platforms and independent of accumulation order; that keeps canonical
 transcripts byte-stable everywhere.
 
-Dot products and norms run over each vector's ``support``: the indices of its
-non-zero entries with their values, or, when more than half of the entries
-are non-zero, the whole vector as it is. A dot product walks the shorter
-support and reads the other vector at those indices. That is bit-identical to
-the dense sum: every product left out has a zero factor, so it is +0.0 or
--0.0, and ``math.fsum`` keeps no zero term, so the exactly rounded sum of the
-remaining products is unchanged, and a sum with no non-zero term is +0.0
-either way. Hash-embedded vectors have a handful of non-zero buckets, so a
-score costs a few multiplications instead of one per dimension; a dense
-remote embedding is walked in full, with no index list and no copy.
+One batch scorer, ``_scores``, computes every cosine, for a whole partition in
+a search and for one pair in ``cosine_similarity``. It walks the query's
+``support``: the indices of its non-zero entries with their values, or, when
+more than half of the entries are non-zero, the whole vector as it is. Each
+entry's values at those indices come from one ``operator.itemgetter`` call,
+and the dot product, the division by the two norms and the clamp are chained
+``map`` calls over the entries' value tuples and norms, which the index
+collects once at construction. So scoring a partition runs no Python
+bytecode per entry.
+
+That is bit-identical to the dense sum. Every product left out has a zero
+factor in the query; a product kept whose entry value is zero is +0.0 or
+-0.0; ``math.fsum`` is exactly rounded and keeps no zero term, so the sum of
+the remaining products is unchanged, and a sum with no non-zero term is +0.0
+either way. Float multiplication is commutative, so which vector's support
+is walked does not change a product. Hash-embedded queries have a handful of
+non-zero buckets, so a score costs a few multiplications instead of one per
+dimension; a dense query is walked in full, with no index list and no copy.
 
 Indices are immutable after build; concurrent searches need no locking.
 """
@@ -26,10 +34,10 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
-from typing import Protocol, Sequence
+from itertools import compress, count, repeat
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .core import EgoState, MemoryRecord
 
@@ -45,7 +53,9 @@ class EmbeddingVector:
     def __post_init__(self) -> None:
         if not self.values:
             raise MemoryIndexError("embedding must have at least one dimension")
-        if not all(math.isfinite(v) for v in self.values):
+        # A finite sum means finite entries; the exact scan runs only when the
+        # sum is not, which finite entries whose sum overflows also pass.
+        if not math.isfinite(sum(self.values)) and not all(map(math.isfinite, self.values)):
             raise MemoryIndexError("embedding entries must all be finite")
 
     @property
@@ -82,19 +92,22 @@ class Embedder(Protocol):
     def embed(self, text: str) -> EmbeddingVector: ...
 
 
-def _cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Clamped dot(a, b) / (|a| * |b|) of checked vectors, walking the shorter support."""
-    indices, values = a.support
-    if len(indices) > len(b.support[0]):
-        a, b = b, a
-        indices, values = a.support
-    other = b.values
-    if len(indices) == len(other):
-        # A support that covers every index is the whole vector, in index order.
-        dot = math.fsum(map(operator.mul, values, other))
+def _scores(
+    q: EmbeddingVector, values: Iterable[Sequence[float]], norms: Iterable[float]
+) -> Iterator[float]:
+    """Clamped dot(q, e) / (|q| * |e|) for each checked entry e, given by its
+    values and norm, walking the support of the checked query q."""
+    indices, q_values = q.support
+    if len(indices) == q.dim:
+        picked = values  # a support that covers every index is the whole vector
+    elif len(indices) == 1:
+        # itemgetter with one index returns a scalar; a one-item slice, a tuple.
+        picked = map(operator.itemgetter(slice(indices[0], indices[0] + 1)), values)
     else:
-        dot = math.fsum([x * other[i] for i, x in zip(indices, values)])
-    return min(1.0, max(-1.0, dot / (a.norm * b.norm)))
+        picked = map(operator.itemgetter(*indices), values)
+    dots = map(math.fsum, map(map, repeat(operator.mul), repeat(q_values), picked))
+    cosines = map(operator.truediv, dots, map(operator.mul, repeat(q.norm), norms))
+    return map(min, repeat(1.0), map(max, repeat(-1.0), cosines))
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -103,7 +116,7 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
         raise MemoryIndexError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.norm == 0.0 or b.norm == 0.0:
         raise MemoryIndexError("cosine similarity is undefined for a zero-norm vector")
-    return _cosine(a, b)
+    return next(_scores(a, (b.values,), (b.norm,)))
 
 
 def _check_entry(rec: MemoryRecord, vec: EmbeddingVector, dim: int) -> None:
@@ -121,16 +134,21 @@ class MemoryIndex:
     ego_state: EgoState
     entries: tuple[tuple[MemoryRecord, EmbeddingVector], ...]
     dim: int
+    # What a search reads of each entry, collected once for the batch scorer.
+    _values: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    _norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Checked once here, so a search can score entries without checking each.
         for rec, vec in self.entries:
             _check_entry(rec, vec, self.dim)
+        object.__setattr__(self, "_values", tuple(vec.values for _, vec in self.entries))
+        object.__setattr__(self, "_norms", tuple(vec.norm for _, vec in self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def record_ids(self) -> tuple[str, ...]:
         return tuple(rec.id for rec, _ in self.entries)
 
@@ -173,9 +191,9 @@ def search_top_k(
 
     Returns min(k, len(idx)) results in descending score order; equal scores
     break by ascending record id. Matches a naive score-all-and-fully-sort
-    oracle element for element: ``heapq.nsmallest(k, items, key=f)`` is
-    documented to equal ``sorted(items, key=f)[:k]``, and every score is
-    bit-identical to ``cosine_similarity(query, entry)``.
+    oracle element for element: ``heapq.nsmallest(k, items)`` is documented
+    to equal ``sorted(items)[:k]``, and every score is bit-identical to
+    ``cosine_similarity(query, entry)``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -186,5 +204,8 @@ def search_top_k(
         raise MemoryIndexError(f"query embedded to dim {q.dim}, index dim is {idx.dim}")
     if q.norm == 0.0:
         raise MemoryIndexError("query embedded to a zero-norm vector")
-    scored = [(rec, _cosine(q, vec)) for rec, vec in idx.entries]
-    return heapq.nsmallest(k, scored, key=lambda pair: (-pair[1], pair[0].id))
+    scores = list(_scores(q, idx._values, idx._norms))
+    # Keys (-score, id, position): the position breaks ties of equal ids, so
+    # records are never compared, and keeps the order a stable sort gives.
+    ranked = heapq.nsmallest(k, zip(map(operator.neg, scores), idx.record_ids, count()))
+    return [(idx.entries[i][0], scores[i]) for _, _, i in ranked]

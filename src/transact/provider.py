@@ -12,6 +12,7 @@ import base64
 import http.client
 import json
 import math
+import operator
 import re
 import ssl
 import threading
@@ -19,9 +20,10 @@ import time
 import urllib.parse
 import urllib.request
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache, partial
 from hashlib import blake2b
 from pathlib import Path
 from typing import Sequence
@@ -455,8 +457,15 @@ class HttpProvider(_ChatBackend):
 # ---------------------------------------------------------------------------
 
 HASH_EMBED_DIM = 256
+#: Most distinct tokens one ``HashEmbedder`` remembers the bucket of.
+_BUCKET_MEMO_SIZE = 16_384
 _HASH_SEED = b"transact-hash-embed-v1"
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+def _hash_bucket(dim: int, token: str) -> int:
+    digest = blake2b(token.encode("utf-8"), digest_size=8, key=_HASH_SEED).digest()
+    return int.from_bytes(digest, "big") % dim
 
 
 class HashEmbedder:
@@ -467,31 +476,35 @@ class HashEmbedder:
     bytes as a big-endian integer, modulo ``dim``), count tokens per bucket,
     L2-normalize the counts. Identical everywhere, on every run; texts sharing
     tokens get a positive similarity contribution.
+
+    Only the buckets a text fills are counted and normalized: the norm is the
+    ``fsum`` of the non-zero squares, the same exactly rounded sum as over all
+    ``dim`` squares, since the others are +0.0. Each embedder remembers the
+    bucket of up to ``_BUCKET_MEMO_SIZE`` tokens, so a new embedder, as each
+    ``transact run`` makes, starts with none.
     """
 
     def __init__(self, dim: int = HASH_EMBED_DIM) -> None:
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
+        self.bucket = lru_cache(maxsize=_BUCKET_MEMO_SIZE)(partial(_hash_bucket, dim))
 
     @property
     def id(self) -> str:
         return f"hash-v1-{self.dim}"
 
-    def bucket(self, token: str) -> int:
-        digest = blake2b(token.encode("utf-8"), digest_size=8, key=_HASH_SEED).digest()
-        return int.from_bytes(digest, "big") % self.dim
-
     def embed(self, text: str) -> EmbeddingVector:
         tokens = _TOKEN_RE.findall(text.lower())
         if not tokens:
             raise ValueError(f"cannot hash-embed text with no alphanumeric tokens: {text!r}")
-        counts = [0.0] * self.dim
-        for token in tokens:
-            counts[self.bucket(token)] += 1.0
-        norm = math.sqrt(math.fsum(c * c for c in counts))
+        counts = Counter(map(self.bucket, tokens))
+        norm = math.sqrt(math.fsum(map(operator.mul, counts.values(), counts.values())))
         # One shared 0.0 object for the empty buckets, not a new float per bucket.
-        return EmbeddingVector(tuple(c / norm if c else 0.0 for c in counts))
+        values = [0.0] * self.dim
+        for b, c in counts.items():
+            values[b] = c / norm
+        return EmbeddingVector(tuple(values))
 
 
 class RemoteEmbedder:

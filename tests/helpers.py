@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+from hashlib import blake2b
 from typing import Sequence
 
 from transact.core import (
@@ -265,6 +267,18 @@ def cosine_oracle(a: Sequence[float], b: Sequence[float]) -> float:
     na = math.sqrt(math.fsum(x * x for x in a))
     nb = math.sqrt(math.fsum(y * y for y in b))
     return max(-1.0, min(1.0, dot / (na * nb)))
+
+
+def hash_embed_oracle(text: str, dim: int) -> tuple[float, ...]:
+    """The hash embedding by its definition, dense: a count per bucket for all
+    ``dim`` buckets, then division by the ``fsum`` norm of all ``dim`` squares.
+    All zeros for a text with no token."""
+    counts = [0.0] * dim
+    for token in re.findall(r"[^\W_]+", text.lower()):
+        digest = blake2b(token.encode("utf-8"), digest_size=8, key=b"transact-hash-embed-v1")
+        counts[int.from_bytes(digest.digest(), "big") % dim] += 1.0
+    norm = math.sqrt(math.fsum(c * c for c in counts))
+    return tuple(c / norm if c else 0.0 for c in counts)
 
 
 def search_oracle(idx: MemoryIndex, query: str, k: int, embedder) -> list[tuple[str, float]]:

@@ -19,6 +19,7 @@ from transact.core import (
     transcript_hash,
     transcript_to_tree,
 )
+from transact.provider import ScriptedProvider
 
 
 @pytest.fixture()
@@ -42,6 +43,20 @@ def fixture_file(tmp_path, scenario_file):
 
 def run_cli(*args: str) -> int:
     return main([str(a) for a in args])
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("the command went past its input checks")
+
+
+def _mkdir(path):
+    path.mkdir()
+    return path
+
+
+def _touch(path):
+    path.touch()
+    return path
 
 
 def unreadable_inputs(tmp_path):
@@ -148,12 +163,68 @@ class TestRun:
         scenario, _ = scenario_file
         assert run_cli("run", "--scenario", scenario) == EXIT_INPUT
 
-    def test_http_without_credential_is_runtime_error(self, scenario_file, monkeypatch, capsys):
-        monkeypatch.delenv("TRANSACT_API_KEY", raising=False)
+    @pytest.mark.parametrize(
+        "base_url, api_key, message",
+        [
+            ("ftp://x", "k", "base URL must be an http:// or https:// URL, got 'ftp://x/"),
+            ("http:///v1", "k", "the base URL 'http:///v1/chat/completions' names no host"),
+            ("http://example.invalid:99999/v1", "k", "invalid port in the base URL"),
+            ("http://example.invalid:port/v1", "k", "invalid port in the base URL"),
+            (None, None, "no API credential: set TRANSACT_API_KEY"),
+        ],
+        ids=["scheme", "no-host", "port-out-of-range", "port-not-a-number", "missing-key"],
+    )
+    def test_bad_http_setting_is_input_error(
+        self, scenario_file, monkeypatch, capsys, base_url, api_key, message
+    ):
+        # Every case fails while the clients are built; a run that got past
+        # that would fail the test before it could open a connection.
+        monkeypatch.setattr("transact.cli.run_simulation", _no_run)
+        for name, value in (("TRANSACT_BASE_URL", base_url), ("TRANSACT_API_KEY", api_key)):
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
         scenario, _ = scenario_file
         code = run_cli("run", "--scenario", scenario, "--provider", "http")
-        assert code == EXIT_RUNTIME
-        assert "TRANSACT_API_KEY" in capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, out_path",
+        [
+            ("run", lambda tmp: _mkdir(tmp / "outdir")),
+            ("run", lambda tmp: _mkdir(tmp / "t.json.log").with_suffix("")),
+            ("run", lambda tmp: tmp / "absent" / "t.json"),
+            ("run", lambda tmp: _touch(tmp / "a-file") / "t.json"),
+            ("interactive", lambda tmp: _mkdir(tmp / "outdir")),
+        ],
+        ids=["directory", "log-directory", "missing-parent", "file-parent", "interactive"],
+    )
+    def test_unwritable_out_is_input_error_before_the_run(
+        self, tmp_path, scenario_file, fixture_file, monkeypatch, capsys, command, out_path
+    ):
+        built: list[ScriptedProvider] = []
+
+        class Recorded(ScriptedProvider):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr("transact.cli.ScriptedProvider", Recorded)
+        monkeypatch.setattr("builtins.input", _no_run)
+        scenario, cfg = scenario_file
+        out = out_path(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        extra = ("--as", cfg.first_speaker) if command == "interactive" else ()
+        code = run_cli(
+            command, "--scenario", scenario, "--fixtures", fixture_file, "--out", out, *extra
+        )
+        assert code == EXIT_INPUT
+        assert f"error: --out {out}: " in capsys.readouterr().err
+        # No provider call was made, and nothing was written.
+        assert [p.remaining() for p in built] == [len(simple_run_fixtures(cfg))]
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_fixture_underrun_is_runtime_error_with_partial_transcript(
         self, tmp_path, scenario_file, capsys

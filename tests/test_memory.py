@@ -63,8 +63,14 @@ class TestCosine:
         assert -1.0 <= left <= 1.0
 
     def test_nonfinite_entries_rejected(self):
-        with pytest.raises(MemoryIndexError, match="finite"):
-            EmbeddingVector((1.0, float("nan")))
+        # The last one sums to NaN.
+        for values in [(1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf), (math.inf, -math.inf)]:
+            with pytest.raises(MemoryIndexError, match="finite"):
+                EmbeddingVector(values)
+
+    def test_finite_entries_whose_sum_overflows_are_accepted(self):
+        assert math.isinf(sum((1e308, 1e308)))
+        assert EmbeddingVector((1e308, 1e308)).values == (1e308, 1e308)
 
     def test_all_zero_products_score_positive_zero(self):
         # Every dense product is +0.0 or -0.0; fsum of them is +0.0, and so is
@@ -268,6 +274,7 @@ class TestSearchTopK:
         records = [make_record(f"r{i}", EgoState.ADULT, context=WORDS[i]) for i in range(4)]
         idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
         assert len(search_top_k(idx, "report", 50, embedder)) == 4
+        assert_bit_identical_to_oracle(idx, "report", 50, embedder)
 
     def test_results_for_k_are_prefix_of_k_plus_one(self):
         rng = random.Random(5)
@@ -337,3 +344,49 @@ def test_search_equals_oracle_property(data):
     assert [rec.id for rec, _ in got] == [rid for rid, _ in want]
     assert len(got) == min(k, n)
 
+
+
+class TestBatchScorer:
+    """Each shape of query support, scored as the dense oracle does. The mixed
+    dense and sparse partition is in ``TestSearchTopK``."""
+
+    def search_case(self, query, vectors, k=3):
+        table = {"q": query, **{f"e{i:02d}": v for i, v in enumerate(vectors)}}
+        embedder = FixedEmbedder(table, dim=len(query))
+        records = [make_record(t, EgoState.ADULT, context=t) for t in table if t != "q"]
+        idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
+        assert_bit_identical_to_oracle(idx, "q", k, embedder)
+        return idx, embedder
+
+    def test_query_with_one_non_zero_entry(self):
+        query = (0.0, 0.0, -0.3, 0.0, 0.0)
+        assert len(vec(*query).support[0]) == 1
+        vectors = [(1, 0, 2, 0, 0), (0, 1, 0, 0, 0), (0, 0, -5, 0, 1), (3, 1, 1, 1, 1)]
+        self.search_case(query, vectors + [(0, 0, 0.1, 0, 0)])
+
+    def test_query_whose_support_covers_every_index(self):
+        query = (0.5, -1.0, 2.0, 0.25)
+        assert vec(*query).support[0] == range(4)
+        self.search_case(query, [(1, 0, 0, 0), (0, 0, 3, 0), (1, 2, 3, 4), (-1, -1, 0, 1)], k=4)
+
+    def test_negative_entries(self):
+        rng = random.Random(3)
+        vectors = [
+            tuple(rng.choice((0.0, rng.uniform(-4, 0))) for _ in range(8)) for _ in range(30)
+        ]
+        vectors = [v for v in vectors if any(v)]
+        query = (-1.0, 0.0, -2.5, 0.0, 0.0, -0.5, 0.0, 0.0)
+        idx, embedder = self.search_case(query, vectors, k=5)
+        assert all(s >= 0.0 for _, s in search_top_k(idx, "q", len(idx), embedder))
+        self.search_case(tuple(-x for x in query), vectors, k=5)
+
+    def test_dense_1536_dimension_vectors(self):
+        rng = random.Random(1536)
+
+        def draw() -> tuple[float, ...]:
+            return tuple(rng.choice((-1, 1)) * rng.uniform(0.001, 1.0) for _ in range(1536))
+
+        vectors = [draw() for _ in range(50)]
+        assert all(all(v) for v in vectors)
+        for _ in range(3):
+            self.search_case(draw(), vectors, k=7)

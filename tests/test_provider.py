@@ -7,9 +7,13 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import WORDS, hash_embed_oracle
 from transact.memory import cosine_similarity
 from transact.provider import (
+    _BUCKET_MEMO_SIZE,
     CallerInfo,
     ChatMessage,
     HashEmbedder,
@@ -193,3 +197,59 @@ class TestHashEmbedder:
                 continue
             v = HashEmbedder(32).embed(text)
             assert sum(x * x for x in v.values) == pytest.approx(1.0, abs=1e-12)
+
+
+def hex_values(values) -> list[str]:
+    return [v.hex() for v in values]
+
+
+#: ASCII words, repeats, and letters of other scripts and cases.
+TOKENS = st.sampled_from(
+    WORDS[:6] + ["café", "Straße", "naïve", "ÅNGSTRÖM", "日本語", "Ωμέγα", "x9", "Report"]
+)
+TEXTS = st.one_of(
+    st.lists(TOKENS, min_size=1, max_size=30).map(" - ".join),
+    st.text(min_size=1, max_size=60),
+)
+
+
+class TestHashEmbedderMatchesDenseReference:
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.sampled_from([1, 2, 256]), text=TEXTS)
+    def test_embed_equals_the_dense_reference_bit_for_bit(self, dim, text):
+        want = hash_embed_oracle(text, dim)
+        if not any(want):  # the text has no token
+            with pytest.raises(ValueError, match="no alphanumeric tokens"):
+                HashEmbedder(dim).embed(text)
+            return
+        assert hex_values(HashEmbedder(dim).embed(text).values) == hex_values(want)
+
+    @pytest.mark.parametrize("dim, text", [(1, "anything at all"), (2, "report mistake report")])
+    def test_tiny_dims_give_the_dense_support_form(self, dim, text):
+        # Every bucket is filled, so the support is the whole vector.
+        v = HashEmbedder(dim).embed(text)
+        assert v.values.count(0.0) == 0
+        assert v.support == (range(dim), v.values)
+        assert hex_values(v.values) == hex_values(hash_embed_oracle(text, dim))
+
+    def test_a_warm_embedder_equals_a_fresh_one(self):
+        rng = random.Random(8)
+        words = WORDS + ["café", "Straße"]
+        texts = [" ".join(rng.choices(words, k=rng.randint(1, 12))) for _ in range(300)]
+        for dim in (1, 2, 256):
+            warm = HashEmbedder(dim)
+            for text in texts:
+                warm.embed(text)
+            for text in texts:
+                got = warm.embed(text).values
+                assert hex_values(got) == hex_values(HashEmbedder(dim).embed(text).values)
+                assert hex_values(got) == hex_values(hash_embed_oracle(text, dim))
+
+    def test_the_bucket_memo_is_bounded_and_per_embedder(self):
+        full = HashEmbedder()
+        tokens = [f"t{i}" for i in range(_BUCKET_MEMO_SIZE + 10)]
+        for start in range(0, len(tokens), 100):
+            text = " ".join(tokens[start : start + 100])
+            assert hex_values(full.embed(text).values) == hex_values(hash_embed_oracle(text, 256))
+        assert full.bucket.cache_info().currsize == _BUCKET_MEMO_SIZE
+        assert HashEmbedder().bucket.cache_info().currsize == 0
