@@ -200,13 +200,13 @@ def _summary_line(u: Utterance) -> str:
     return f"[{u.turn:02d}] {u.speaker} ({u.chosen_ego.value}): {text[:80]}"
 
 
-def _check_out(args: argparse.Namespace) -> None:
-    """Reject an ``--out`` path that cannot be written, before the run starts;
-    nothing is created."""
+def _check_out(args: argparse.Namespace, *, log: bool) -> None:
+    """Reject an ``--out`` path that cannot be written, before any work starts;
+    nothing is created. With ``log``, its ``.log`` sibling is written too."""
     if not args.out:
         return
     out = Path(args.out)
-    for path in (out, out.with_name(out.name + ".log")):
+    for path in (out, out.with_name(out.name + ".log")) if log else (out,):
         if path.is_dir():
             raise CliInputError(f"--out {out}: {path} is a directory")
     if not out.parent.is_dir():
@@ -227,7 +227,7 @@ def _finish_run(t: Transcript, args: argparse.Namespace, run_log: RunLog) -> Non
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_scenario(args)
     provider, embedder = _build_backend(args)
-    _check_out(args)
+    _check_out(args, log=True)
     run_log = RunLog()
     transcript = run_simulation(cfg, provider, embedder, run_log=run_log)
     for u in transcript.utterances:
@@ -241,7 +241,7 @@ def cmd_interactive(args: argparse.Namespace) -> int:
     if args.play_as not in {a.name for a in cfg.agents}:
         raise CliInputError(f"--as {args.play_as!r} does not name a scenario agent")
     provider, embedder = _build_backend(args)
-    _check_out(args)
+    _check_out(args, log=True)
     run_log = RunLog()
     print(f"You are {args.play_as}. Situation: {cfg.opening_prompt}")
     print("Type your lines; Ctrl-D ends the conversation.")
@@ -275,6 +275,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        raise CliInputError(f"--budget must be >= 1, got {args.budget}")
+    _check_out(args, log=False)
     text = _read_input(Path(args.transcript), "transcript")
     try:
         transcript = parse_transcript(text)

@@ -18,6 +18,7 @@ import json
 import operator
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
+from itertools import repeat
 from types import UnionType
 from typing import Any, Callable, Iterable, Mapping, get_args, get_origin, get_type_hints
 
@@ -396,13 +397,21 @@ def _validate_personas(agent: AgentProfile, agent_key: str) -> list[Violation]:
 # ---------------------------------------------------------------------------
 # Canonical serialization.
 #
-# Scenario and transcript files are UTF-8 JSON. The canonical form is
-# json.dumps with sorted keys, two-space indent, and a trailing newline;
-# lists keep their order (order is meaningful and participates in hashing).
+# Scenario and transcript files are UTF-8 JSON in one canonical form:
+# json.dumps(tree, sort_keys=True, indent=2, ensure_ascii=False) + "\n".
+# Lists keep their order (order is meaningful and participates in hashing).
 #
 # A record's JSON object is its dataclass fields, read and written by one
 # codec derived from the field types. Field metadata marks the exceptions:
 # "json_key" renames a key and "optional" lets a key be absent.
+#
+# The writer emits that text from the field specs, with no tree in between
+# (json.dumps with an indent runs the pure-Python encoder). It lays out
+# objects and arrays of records itself: sorted keys, one member per line, two
+# spaces per level. Every leaf, and every array of leaves, goes through
+# CPython's C encoder with its level's item separator; that encoder dispatches
+# on the runtime type and renders a string, number, bool, NaN, Infinity or
+# null as json.dumps does, so the bytes are the same.
 # ---------------------------------------------------------------------------
 
 
@@ -428,13 +437,29 @@ class _CodecError(Exception):
 
 
 _Reader = Callable[[Any], Any]
-_Writer = Callable[[Any], Any]
+_Writer = Callable[[Any, int, list[str]], None]  # (value, indent level, out)
 
 _SCALAR_NOUNS = {str: "a string", int: "an integer", bool: "a boolean"}
 
 
-def _as_is(value: Any) -> Any:
-    return value
+@functools.cache
+def _leaf_encoder(level: int) -> Callable[[Any, int], Any]:
+    """CPython's C JSON encoder, compact, separating the items of an array
+    whose items sit at indent ``level``; a call returns the text in chunks."""
+    # The arguments json.JSONEncoder.iterencode passes: markers (None: values
+    # are acyclic), default, string encoder (ensure_ascii=False), indent,
+    # key and item separators, sort_keys, skipkeys, allow_nan.
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring, None,
+        ": ", ",\n" + "  " * level, True, False, True,
+    )
+
+
+_encode_leaf = _leaf_encoder(0)
+
+
+def _write_leaf(value: Any, level: int, out: list[str]) -> None:
+    out.extend(_encode_leaf(value, 0))
 
 
 def _exact_reader(tp: type, noun: str) -> _Reader:
@@ -466,22 +491,37 @@ def _check_object(node: Any, keys: set[str], required: set[str]) -> None:
             raise _CodecError(f"missing keys {sorted(missing)}")
 
 
+def _write_members(
+    brackets: str, members: Iterable[tuple[str, _Writer, Any]], level: int, out: list[str]
+) -> None:
+    """Append a non-empty object or array at indent ``level``: each member is
+    its head (``"key": `` or nothing) and its value, written at ``level + 1``."""
+    pad = "\n" + "  " * (level + 1)
+    sep = brackets[0] + pad
+    for head, write, value in members:
+        out.append(sep + head)
+        write(value, level + 1, out)
+        sep = "," + pad
+    out.append(pad[:-2] + brackets[1])
+
+
 @functools.cache
 def _codec(tp: Any) -> tuple[_Reader, _Writer]:
     """The (reader, writer) pair for one annotated type.
 
     A reader checks a parsed JSON tree strictly and builds the value; a writer
-    turns the value back into a JSON tree. Scalars are checked by exact type
-    (a float field also takes an int), enums are stored by value, ``X | None``
-    allows null, ``tuple[X, ...]`` is an array, ``Mapping[E, X]`` over an enum
-    is an object with exactly one key per member, and a dataclass is an object
-    with exactly its field keys.
+    appends the value's canonical text at an indent level to a list of chunks,
+    which the document joins once. Scalars are checked by exact type (a float
+    field also takes an int), enums are stored by value, ``X | None`` allows
+    null, ``tuple[X, ...]`` is an array, ``Mapping[E, X]`` over an enum is an
+    object with exactly one key per member, and a dataclass is an object with
+    exactly its field keys.
     """
     origin, args = get_origin(tp), get_args(tp)
     if tp in _SCALAR_NOUNS:
-        return _exact_reader(tp, _SCALAR_NOUNS[tp]), _as_is
+        return _exact_reader(tp, _SCALAR_NOUNS[tp]), _write_leaf
     if tp is float:
-        return _read_float, _as_is
+        return _read_float, _write_leaf
     if isinstance(tp, type) and issubclass(tp, Enum):
         return _enum_codec(tp)
     if isinstance(tp, type) and is_dataclass(tp):
@@ -497,6 +537,7 @@ def _codec(tp: Any) -> tuple[_Reader, _Writer]:
 
 def _enum_codec(tp: type[Enum]) -> tuple[_Reader, _Writer]:
     members = {m.value: m for m in tp}
+    texts = {m: json.dumps(m.value, ensure_ascii=False) for m in tp}
 
     def read(node: Any) -> Enum:
         try:
@@ -504,7 +545,10 @@ def _enum_codec(tp: type[Enum]) -> tuple[_Reader, _Writer]:
         except (KeyError, TypeError):
             raise _CodecError(f"expected one of {sorted(members)}, got {node!r}") from None
 
-    return read, {m: m.value for m in tp}.__getitem__
+    def write(value: Enum, level: int, out: list[str]) -> None:
+        out.append(texts[value])
+
+    return read, write
 
 
 def _optional_codec(inner: Any) -> tuple[_Reader, _Writer]:
@@ -513,8 +557,11 @@ def _optional_codec(inner: Any) -> tuple[_Reader, _Writer]:
     def read(node: Any) -> Any:
         return None if node is None else read_inner(node)
 
-    def write(value: Any) -> Any:
-        return None if value is None else write_inner(value)
+    def write(value: Any, level: int, out: list[str]) -> None:
+        if value is None:
+            out.append("null")
+        else:
+            write_inner(value, level, out)
 
     return read, write
 
@@ -534,14 +581,27 @@ def _tuple_codec(item: Any) -> tuple[_Reader, _Writer]:
                 raise
         return tuple(out)
 
-    if write_item is _as_is:
-        return read, list
-    return read, lambda value: list(map(write_item, value))
+    leaves = write_item is _write_leaf
+
+    def write(value: tuple[Any, ...], level: int, out: list[str]) -> None:
+        if not value:
+            out.append("[]")
+        elif leaves:  # one C call renders "[a,<pad>b]"; the brackets' lines are added
+            pad = "\n" + "  " * (level + 1)
+            text = "".join(_leaf_encoder(level + 1)(value, 0))
+            out.extend(("[", pad, text[1:-1], pad[:-2], "]"))
+        else:
+            _write_members("[]", zip(repeat(""), repeat(write_item), value), level, out)
+
+    return read, write
 
 
 def _mapping_codec(key_type: type[Enum], value_type: Any) -> tuple[_Reader, _Writer]:
     read_value, write_value = _codec(value_type)
     keys = {m.value for m in key_type}
+    order = sorted(key_type, key=lambda m: m.value)
+    heads = [json.dumps(m.value, ensure_ascii=False) + ": " for m in order]
+    get_values = operator.itemgetter(*order)
 
     def read(node: Any) -> dict[Enum, Any]:
         _check_object(node, keys, keys)
@@ -554,33 +614,31 @@ def _mapping_codec(key_type: type[Enum], value_type: Any) -> tuple[_Reader, _Wri
                 raise
         return out
 
-    def write(value: Mapping[Enum, Any]) -> dict[str, Any]:
-        return {k.value: write_value(v) for k, v in value.items()}
+    def write(value: Mapping[Enum, Any], level: int, out: list[str]) -> None:
+        _write_members("{}", zip(heads, repeat(write_value), get_values(value)), level, out)
 
     return read, write
 
 
 def _record_codec(cls: type) -> tuple[_Reader, _Writer]:
     hints = get_type_hints(cls)
-    specs = []  # (field name, JSON key, reader)
-    converted = []  # (JSON key, writer) for fields not stored as they are
+    specs = []  # (field name, JSON key, reader, writer)
     required = set()
     for f in fields(cls):
         key = f.metadata.get("json_key", f.name)
-        read_field, write_field = _codec(hints[f.name])
-        specs.append((f.name, key, read_field))
-        if write_field is not _as_is:
-            converted.append((key, write_field))
+        specs.append((f.name, key, *_codec(hints[f.name])))
         if not f.metadata.get("optional"):
             required.add(key)
-    json_keys = [key for _, key, _ in specs]
-    keys = set(json_keys)
-    get_values = operator.attrgetter(*(name for name, _, _ in specs))
+    keys = {key for _, key, _, _ in specs}
+    written = sorted(specs, key=lambda spec: spec[1])
+    heads = [json.dumps(key, ensure_ascii=False) + ": " for _, key, _, _ in written]
+    writers = [write_field for _, _, _, write_field in written]
+    get_values = operator.attrgetter(*(name for name, _, _, _ in written))
 
     def read(node: Any) -> Any:
         _check_object(node, keys, required)
         kwargs = {}
-        for name, key, read_field in specs:
+        for name, key, read_field, _ in specs:
             if key in node:  # absent only when optional: the field default applies
                 try:
                     kwargs[name] = read_field(node[key])
@@ -592,11 +650,8 @@ def _record_codec(cls: type) -> tuple[_Reader, _Writer]:
         except ValueError as e:
             raise _CodecError(str(e)) from e
 
-    def write(obj: Any) -> dict[str, Any]:
-        tree = dict(zip(json_keys, get_values(obj)))
-        for key, write_field in converted:
-            tree[key] = write_field(tree[key])
-        return tree
+    def write(obj: Any, level: int, out: list[str]) -> None:
+        _write_members("{}", zip(heads, writers, get_values(obj)), level, out)
 
     return read, write
 
@@ -612,12 +667,15 @@ def _read_document(tp: type, text: str, error: type[ValueError], root: str) -> A
         raise error(e.located(root)) from e
 
 
-def scenario_to_tree(cfg: ScenarioConfig) -> dict[str, Any]:
-    return _codec(ScenarioConfig)[1](cfg)
+def _write_document(tp: type, value: Any) -> str:
+    out: list[str] = []
+    _codec(tp)[1](value, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:
-    return canonical_json(scenario_to_tree(cfg))
+    return _write_document(ScenarioConfig, cfg)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -630,13 +688,9 @@ def fingerprint_scenario(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(serialize_scenario(cfg).encode("utf-8")).hexdigest()
 
 
-def transcript_to_tree(t: Transcript) -> dict[str, Any]:
-    return _codec(Transcript)[1](t)
-
-
 def serialize_transcript(t: Transcript) -> str:
     """Canonical transcript document: parse(serialize(t)) == t, injective over valid transcripts."""
-    return canonical_json(transcript_to_tree(t))
+    return _write_document(Transcript, t)
 
 
 def parse_transcript(text: str) -> Transcript:

@@ -17,7 +17,6 @@ from transact.core import (
     serialize_scenario,
     serialize_transcript,
     transcript_hash,
-    transcript_to_tree,
 )
 from transact.provider import ScriptedProvider
 
@@ -295,11 +294,31 @@ class TestAnalyze:
             assert message.format("transcript") in capsys.readouterr().err
 
     def test_hits_and_scores_length_mismatch_is_input_error(self, tmp_path, golden_transcript):
-        tree = transcript_to_tree(golden_transcript)
+        tree = json.loads(serialize_transcript(golden_transcript))
         drop_first_score(tree)
         path = tmp_path / "mismatch.json"
         path.write_text(json.dumps(tree), encoding="utf-8")
         assert run_cli("analyze", "--transcript", path) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "out_path",
+        [lambda tmp: _mkdir(tmp / "outdir"), lambda tmp: tmp / "absent" / "report.json"],
+        ids=["directory", "missing-parent"],
+    )
+    def test_unwritable_out_is_input_error_before_reading(
+        self, tmp_path, golden_file, monkeypatch, capsys, out_path
+    ):
+        monkeypatch.setattr("transact.cli._read_input", _no_run)
+        out = out_path(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli("analyze", "--transcript", golden_file, "--out", out) == EXIT_INPUT
+        assert f"error: --out {out}: " in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_is_input_error(self, golden_file, capsys, budget):
+        assert run_cli("analyze", "--transcript", golden_file, "--budget", budget) == EXIT_INPUT
+        assert f"error: --budget must be >= 1, got {budget}" in capsys.readouterr().err
 
     def test_report_file_regenerates_byte_identically(self, tmp_path, golden_file):
         first = tmp_path / "r1.json"

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     drop_first_score,
@@ -19,21 +23,22 @@ from helpers import (
 from transact.core import (
     AgentProfile,
     CriterionScores,
+    DecisionRecord,
     DecisionWeights,
     EGO_ORDER,
     EgoPersona,
     EgoState,
     MemoryRecord,
+    RetrievalEvent,
     ScenarioFormatError,
     TranscriptFormatError,
     Utterance,
+    canonical_json,
     fingerprint_scenario,
     parse_scenario,
     parse_transcript,
-    scenario_to_tree,
     serialize_scenario,
     serialize_transcript,
-    transcript_to_tree,
     validate_scenario,
 )
 
@@ -170,19 +175,13 @@ class TestSerialization:
     def test_parse_rejects_unknown_keys_and_bad_json(self):
         with pytest.raises(ScenarioFormatError):
             parse_scenario("{not json")
-        tree = scenario_to_tree(make_scenario())
+        tree = json.loads(serialize_scenario(make_scenario()))
         tree["surprise"] = 1
-        import json
-
         with pytest.raises(ScenarioFormatError, match="unknown keys"):
             parse_scenario(json.dumps(tree))
 
     def test_decision_weights_block_is_optional_and_defaults_to_equal(self):
-        import json
-
-        from transact.core import DecisionWeights
-
-        tree = scenario_to_tree(make_scenario())
+        tree = json.loads(serialize_scenario(make_scenario()))
         del tree["decision_weights"]
         cfg = parse_scenario(json.dumps(tree))
         assert cfg.decision_weights == DecisionWeights()
@@ -192,11 +191,7 @@ class TestSerialization:
         t = random_transcript(random.Random(7), max_utterances=2)
         while not t.utterances:
             t = random_transcript(random.Random(random.randrange(10**6)), max_utterances=2)
-        import json
-
-        from transact.core import transcript_to_tree
-
-        tree = transcript_to_tree(t)
+        tree = json.loads(serialize_transcript(t))
         decision = tree["utterances"][0]["decision"]
         decision["scores"]["Parent"] = {
             "relevance": 10, "progress": 10, "social_appropriateness": 10, "script_alignment": 10,
@@ -212,7 +207,7 @@ class TestSerialization:
     def test_hits_and_scores_length_mismatch_is_a_located_format_error(
         self, golden_transcript
     ):
-        tree = transcript_to_tree(golden_transcript)
+        tree = json.loads(serialize_transcript(golden_transcript))
         where = drop_first_score(tree)
         with pytest.raises(TranscriptFormatError) as info:
             parse_transcript(json.dumps(tree))
@@ -220,10 +215,131 @@ class TestSerialization:
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_decision_weight_is_a_format_error(self, golden_transcript, weight):
-        tree = transcript_to_tree(golden_transcript)
+        tree = json.loads(serialize_transcript(golden_transcript))
         tree["utterances"][0]["decision"]["weights"]["relevance"] = weight
         with pytest.raises(TranscriptFormatError, match=r"^utterances\[0\]\.decision: weights"):
             parse_transcript(json.dumps(tree))
+
+
+# ---------------------------------------------------------------------------
+# The writer emits text directly; its output must be exactly canonical_json
+# (json.dumps with sorted keys, indent 2, no ASCII escaping) of the same tree.
+# ---------------------------------------------------------------------------
+
+ODD_TEXT = 'quote " backslash \\ nul \x00 unit \x1f del \x7f tab \t nl \n line \u2028 clef \U0001d11e 😀'
+
+
+def _assert_canonical(value, serialize, parse):
+    text = serialize(value)
+    assert text == canonical_json(json.loads(text))
+    again = parse(text)
+    if "NaN" in text:  # NaN != NaN, so only the bytes can show this round trip
+        assert serialize(again) == text
+    else:
+        assert again == value
+    return text
+
+
+def _assert_scenario_canonical(cfg):
+    text = _assert_canonical(cfg, serialize_scenario, parse_scenario)
+    tree_bytes = canonical_json(json.loads(text)).encode("utf-8")
+    assert fingerprint_scenario(cfg) == hashlib.sha256(tree_bytes).hexdigest()
+
+
+def _edge_transcripts():
+    rng = random.Random(11)
+    t = random_transcript(rng, max_utterances=3)
+    while len(t.utterances) < 2:
+        t = random_transcript(rng, max_utterances=3)
+    u = t.utterances[0]
+    zero = {ego: CriterionScores(0, 0, 0, 0) for ego in EGO_ORDER}
+    int_weights = DecisionRecord(  # all-zero marks: Adult wins whatever the weights
+        scores=zero, weights=DecisionWeights(1, 0, 0, 0), chosen=EgoState.ADULT, rationale=ODD_TEXT
+    )
+    event = RetrievalEvent(
+        ego_state=EgoState.CHILD,
+        query=ODD_TEXT,
+        hit_ids=("m1", "m2", "m3", "m4"),
+        scores=(float("nan"), float("inf"), float("-inf"), -0.0),
+    )
+    no_hits = RetrievalEvent(ego_state=EgoState.PARENT, query="q", hit_ids=(), scores=())
+    yield "non-finite-scores", dataclasses.replace(
+        t, utterances=(dataclasses.replace(u, retrieval_log=(event,)),) + t.utterances[1:]
+    )
+    yield "empty-hits-and-log", dataclasses.replace(
+        t,
+        utterances=(
+            dataclasses.replace(u, retrieval_log=(no_hits,)),
+            dataclasses.replace(t.utterances[1], retrieval_log=()),
+        )
+        + t.utterances[2:],
+    )
+    yield "int-weights-odd-text", dataclasses.replace(
+        t,
+        scenario_fingerprint=ODD_TEXT,
+        utterances=(dataclasses.replace(u, decision=int_weights),) + t.utterances[1:],
+        termination_reason=None,
+    )
+    yield "no-utterances", dataclasses.replace(t, utterances=(), termination_reason=None)
+
+
+def _edge_scenarios():
+    cfg = make_scenario(n_memories=1)
+    agent = cfg.agents[0]
+    persona = agent.personas[0]
+    odd = dataclasses.replace(persona.memories[0], context=ODD_TEXT, emotions=())
+    yield "int-weights-odd-text", dataclasses.replace(
+        cfg,
+        opening_prompt=ODD_TEXT,
+        decision_weights=DecisionWeights(0, 1, 0, 0),
+        agents=(
+            dataclasses.replace(
+                agent,
+                life_script=ODD_TEXT,
+                personas=(dataclasses.replace(persona, memories=(odd,)),) + agent.personas[1:],
+            ),
+        )
+        + cfg.agents[1:],
+    )
+    yield "no-memories-no-personas", dataclasses.replace(
+        make_scenario(n_memories=0),
+        agents=(dataclasses.replace(agent, personas=()),) + cfg.agents[1:],
+    )
+
+
+class TestCanonicalWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), text=st.text())
+    def test_random_transcripts(self, rng, text):
+        t = random_transcript(rng, max_utterances=5)
+        _assert_canonical(t, serialize_transcript, parse_transcript)
+        _assert_canonical(
+            dataclasses.replace(t, scenario_fingerprint=text), serialize_transcript, parse_transcript
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), text=st.text())
+    def test_random_scenarios(self, rng, text):
+        cfg = random_scenario(rng)
+        _assert_scenario_canonical(cfg)
+        _assert_scenario_canonical(dataclasses.replace(cfg, opening_prompt=text))
+
+    @pytest.mark.parametrize("name", [name for name, _ in _edge_transcripts()])
+    def test_edge_transcripts(self, name):
+        t = dict(_edge_transcripts())[name]
+        text = _assert_canonical(t, serialize_transcript, parse_transcript)
+        if name == "non-finite-scores":
+            assert "NaN,\n" in text and "Infinity,\n" in text and "-Infinity,\n" in text
+            assert math.isnan(parse_transcript(text).utterances[0].retrieval_log[0].scores[0])
+        if name == "int-weights-odd-text":
+            assert '"relevance": 1,\n' in text  # an int in a float field stays an int
+
+    @pytest.mark.parametrize("name", [name for name, _ in _edge_scenarios()])
+    def test_edge_scenarios(self, name):
+        _assert_scenario_canonical(dict(_edge_scenarios())[name])
+
+    def test_bundled_scenario(self, stupid_scenario):
+        _assert_scenario_canonical(stupid_scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +406,13 @@ def _at(tree, path):
 def _document(root: str):
     """A valid document tree with its parser and that parser's error type."""
     if root == "scenario":
-        return scenario_to_tree(make_scenario(n_memories=1)), parse_scenario, ScenarioFormatError
+        tree = json.loads(serialize_scenario(make_scenario(n_memories=1)))
+        return tree, parse_scenario, ScenarioFormatError
     rng = random.Random(5)
     t = random_transcript(rng, max_utterances=2)
     while not any(ev.hit_ids for u in t.utterances for ev in u.retrieval_log):
         t = random_transcript(rng, max_utterances=2)
-    return transcript_to_tree(t), parse_transcript, TranscriptFormatError
+    return json.loads(serialize_transcript(t)), parse_transcript, TranscriptFormatError
 
 
 @pytest.mark.parametrize("root", ["scenario", "transcript"])
