@@ -23,6 +23,7 @@ from .core import (
     TranscriptFormatError,
     Utterance,
     canonical_json,
+    fingerprint_scenario,
     parse_scenario,
     parse_transcript,
     serialize_transcript,
@@ -51,6 +52,9 @@ BASE_URL_ENV = "TRANSACT_BASE_URL"
 MODEL_ENV = "TRANSACT_MODEL"
 EMBEDDER_ENV = "TRANSACT_EMBEDDER"
 TIMEOUT_ENV = "TRANSACT_TIMEOUT_MS"
+
+#: The search budget ``analyze`` audits against without --budget or --scenario.
+DEFAULT_AUDIT_BUDGET = 5
 
 
 class CliInputError(Exception):
@@ -103,8 +107,12 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="mine a transcript for game patterns")
     analyze.add_argument("--transcript", required=True)
     analyze.add_argument("--out", help="write the structured report here")
-    analyze.add_argument("--budget", type=int, default=5,
-                         help="search budget to audit against (default 5)")
+    budget = analyze.add_mutually_exclusive_group()
+    budget.add_argument("--budget", type=int,
+                        help=f"search budget to audit against (default {DEFAULT_AUDIT_BUDGET})")
+    budget.add_argument("--scenario",
+                        help="audit against this scenario's tool_budget; its fingerprint "
+                        "must match the transcript's")
     analyze.add_argument("--fail-on-loops", action="store_true",
                          help="exit 1 when game loops are detected")
     analyze.set_defaults(handler=cmd_analyze)
@@ -275,15 +283,25 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.budget < 1:
+    if args.budget is not None and args.budget < 1:
         raise CliInputError(f"--budget must be >= 1, got {args.budget}")
     _check_out(args, log=False)
+    cfg = _read_scenario(Path(args.scenario)) if args.scenario else None
     text = _read_input(Path(args.transcript), "transcript")
     try:
         transcript = parse_transcript(text)
     except TranscriptFormatError as e:
         raise CliInputError(f"transcript does not parse: {e}") from e
-    report = build_report(transcript, budget=args.budget)
+    if cfg is None:
+        budget = DEFAULT_AUDIT_BUDGET if args.budget is None else args.budget
+    elif fingerprint_scenario(cfg) != transcript.scenario_fingerprint:
+        raise CliInputError(
+            f"--scenario {args.scenario} is not the scenario of this transcript "
+            "(the fingerprints differ)"
+        )
+    else:
+        budget = cfg.tool_budget
+    report = build_report(transcript, budget=budget)
     print(render_report(report))
     if args.out:
         Path(args.out).write_text(canonical_json(report), encoding="utf-8")

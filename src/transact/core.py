@@ -16,9 +16,8 @@ import functools
 import hashlib
 import json
 import operator
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
-from itertools import repeat
 from types import UnionType
 from typing import Any, Callable, Iterable, Mapping, get_args, get_origin, get_type_hints
 
@@ -104,7 +103,12 @@ class DecisionWeights:
     script_alignment: float = 0.25
 
     def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _CRITERIA}
+
+
+#: The four decision criteria, in field order: the fields of DecisionWeights
+#: and of CriterionScores.
+_CRITERIA = tuple(f.name for f in fields(DecisionWeights))
 
 
 @dataclass(frozen=True)
@@ -143,15 +147,19 @@ class CriterionScores:
     script_alignment: int
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not isinstance(v, int) or not 0 <= v <= 10:
-                raise ValueError(f"{f.name} must be an integer in [0, 10], got {v!r}")
+        for name in _CRITERIA:
+            v = getattr(self, name)
+            if type(v) is not int or not 0 <= v <= 10:
+                raise ValueError(f"{name} must be an integer in [0, 10], got {v!r}")
 
 
 def _covers_each_ego_once(egos: Iterable[EgoState]) -> bool:
     """True when ``egos`` holds each of the three ego states exactly once."""
-    return sorted(e.value for e in egos) == sorted(e.value for e in EGO_ORDER)
+    seen = list(egos)
+    return len(seen) == len(EGO_ORDER) and set(seen) == _EGO_SET
+
+
+_EGO_SET = frozenset(EGO_ORDER)
 
 
 def _zero_scores() -> dict[EgoState, CriterionScores]:
@@ -401,17 +409,28 @@ def _validate_personas(agent: AgentProfile, agent_key: str) -> list[Violation]:
 # json.dumps(tree, sort_keys=True, indent=2, ensure_ascii=False) + "\n".
 # Lists keep their order (order is meaningful and participates in hashing).
 #
-# A record's JSON object is its dataclass fields, read and written by one
-# codec derived from the field types. Field metadata marks the exceptions:
-# "json_key" renames a key and "optional" lets a key be absent.
+# A record's JSON object is its dataclass fields. Field metadata marks the
+# exceptions: "json_key" renames a key and "optional" lets a key be absent.
 #
-# The writer emits that text from the field specs, with no tree in between
-# (json.dumps with an indent runs the pure-Python encoder). It lays out
-# objects and arrays of records itself: sorted keys, one member per line, two
-# spaces per level. Every leaf, and every array of leaves, goes through
-# CPython's C encoder with its level's item separator; that encoder dispatches
-# on the runtime type and renders a string, number, bool, NaN, Infinity or
-# null as json.dumps does, so the bytes are the same.
+# Each dataclass's reader and writer are compiled once, with exec, into one
+# straight-line function each from its field specs, the way dataclasses
+# builds __init__. The reader checks the key set once, checks every field in
+# place (exact type, or an enum lookup by value), calls nested readers
+# directly and builds the record positionally; a failure is located by the
+# key of the field being read as the exception unwinds. The writer appends
+# the fields in sorted key order, each '"key": ' head with its indent level's
+# padding baked in (built once per level), and each leaf's text: a string or
+# an int through its C text function, anything else through CPython's C
+# encoder, which dispatches on the runtime type as json.dumps does (NaN,
+# Infinity, ints in float fields, bools). Nested values call their writer.
+#
+# Arrays of scalars are read with one C-level check of the item types and
+# copied whole; only when that check fails do the items go through the item
+# reader, which raises at the failing [i]. Arrays of records are read through
+# map, where the failing index is the number of items already read. An array
+# of leaves is written by one C encoder call with its level's item separator
+# (json.dumps with an indent runs the pure-Python encoder), an array of
+# records one item per line.
 # ---------------------------------------------------------------------------
 
 
@@ -440,6 +459,7 @@ _Reader = Callable[[Any], Any]
 _Writer = Callable[[Any, int, list[str]], None]  # (value, indent level, out)
 
 _SCALAR_NOUNS = {str: "a string", int: "an integer", bool: "a boolean"}
+_LEAF_TYPES = (*_SCALAR_NOUNS, float)
 
 
 @functools.cache
@@ -462,6 +482,32 @@ def _write_leaf(value: Any, level: int, out: list[str]) -> None:
     out.extend(_encode_leaf(value, 0))
 
 
+class _Heads(dict):
+    """What a non-empty object or array writes around its members, by indent
+    level (built on first use): the opening bracket with the first member's
+    head, each later head, and the closing bracket. A head is ``"key": `` in
+    an object and empty in an array."""
+
+    def __init__(self, brackets: str, heads: list[str]) -> None:
+        super().__init__()
+        self.brackets = brackets
+        self.heads = heads
+
+    def __missing__(self, level: int) -> tuple[str, ...]:
+        pad = "\n" + "  " * (level + 1)
+        first, *rest = self.heads
+        text = self[level] = (
+            self.brackets[0] + pad + first,
+            *("," + pad + head for head in rest),
+            pad[:-2] + self.brackets[1],
+        )
+        return text
+
+
+def _head(key: Any) -> str:
+    return json.dumps(key, ensure_ascii=False) + ": "
+
+
 def _exact_reader(tp: type, noun: str) -> _Reader:
     def read(node: Any) -> Any:
         if type(node) is not tp:
@@ -475,7 +521,10 @@ def _read_float(node: Any) -> float:
     if type(node) is float:
         return node
     if type(node) is int:
-        return float(node)
+        try:
+            return float(node)
+        except OverflowError:
+            raise _CodecError("number out of range for a float") from None
     raise _CodecError("expected a number")
 
 
@@ -491,20 +540,6 @@ def _check_object(node: Any, keys: set[str], required: set[str]) -> None:
             raise _CodecError(f"missing keys {sorted(missing)}")
 
 
-def _write_members(
-    brackets: str, members: Iterable[tuple[str, _Writer, Any]], level: int, out: list[str]
-) -> None:
-    """Append a non-empty object or array at indent ``level``: each member is
-    its head (``"key": `` or nothing) and its value, written at ``level + 1``."""
-    pad = "\n" + "  " * (level + 1)
-    sep = brackets[0] + pad
-    for head, write, value in members:
-        out.append(sep + head)
-        write(value, level + 1, out)
-        sep = "," + pad
-    out.append(pad[:-2] + brackets[1])
-
-
 @functools.cache
 def _codec(tp: Any) -> tuple[_Reader, _Writer]:
     """The (reader, writer) pair for one annotated type.
@@ -512,22 +547,19 @@ def _codec(tp: Any) -> tuple[_Reader, _Writer]:
     A reader checks a parsed JSON tree strictly and builds the value; a writer
     appends the value's canonical text at an indent level to a list of chunks,
     which the document joins once. Scalars are checked by exact type (a float
-    field also takes an int), enums are stored by value, ``X | None`` allows
-    null, ``tuple[X, ...]`` is an array, ``Mapping[E, X]`` over an enum is an
-    object with exactly one key per member, and a dataclass is an object with
-    exactly its field keys.
+    field also takes an int), ``tuple[X, ...]`` is an array, ``Mapping[E, X]``
+    over an enum is an object with exactly one key per member, and a dataclass
+    is an object with exactly its field keys. Enums, stored by value, and
+    ``X | None``, which allows null, are record fields only: the record's own
+    code reads and writes them.
     """
     origin, args = get_origin(tp), get_args(tp)
     if tp in _SCALAR_NOUNS:
         return _exact_reader(tp, _SCALAR_NOUNS[tp]), _write_leaf
     if tp is float:
         return _read_float, _write_leaf
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return _enum_codec(tp)
     if isinstance(tp, type) and is_dataclass(tp):
         return _record_codec(tp)
-    if origin is UnionType and len(args) == 2 and type(None) in args:
-        return _optional_codec(next(a for a in args if a is not type(None)))
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
         return _tuple_codec(args[0])
     if origin is collections.abc.Mapping and issubclass(args[0], Enum):
@@ -535,63 +567,35 @@ def _codec(tp: Any) -> tuple[_Reader, _Writer]:
     raise TypeError(f"no JSON codec for {tp!r}")
 
 
-def _enum_codec(tp: type[Enum]) -> tuple[_Reader, _Writer]:
-    members = {m.value: m for m in tp}
-    texts = {m: json.dumps(m.value, ensure_ascii=False) for m in tp}
-
-    def read(node: Any) -> Enum:
-        try:
-            return members[node]
-        except (KeyError, TypeError):
-            raise _CodecError(f"expected one of {sorted(members)}, got {node!r}") from None
-
-    def write(value: Enum, level: int, out: list[str]) -> None:
-        out.append(texts[value])
-
-    return read, write
-
-
-def _optional_codec(inner: Any) -> tuple[_Reader, _Writer]:
-    read_inner, write_inner = _codec(inner)
-
-    def read(node: Any) -> Any:
-        return None if node is None else read_inner(node)
-
-    def write(value: Any, level: int, out: list[str]) -> None:
-        if value is None:
-            out.append("null")
-        else:
-            write_inner(value, level, out)
-
-    return read, write
-
-
 def _tuple_codec(item: Any) -> tuple[_Reader, _Writer]:
     read_item, write_item = _codec(item)
+    leaves = write_item is _write_leaf
+    heads = _Heads("[]", ["", ""])
 
     def read(node: Any) -> tuple[Any, ...]:
         if type(node) is not list:
             raise _CodecError("expected an array")
-        out = []
-        for i, x in enumerate(node):
-            try:
-                out.append(read_item(x))
-            except _CodecError as e:
-                e.path.append(f"[{i}]")
-                raise
-        return tuple(out)
-
-    leaves = write_item is _write_leaf
+        items: list[Any] = []
+        try:
+            items.extend(map(read_item, node))
+        except _CodecError as e:
+            e.path.append(f"[{len(items)}]")
+            raise
+        return tuple(items)
 
     def write(value: tuple[Any, ...], level: int, out: list[str]) -> None:
         if not value:
             out.append("[]")
-        elif leaves:  # one C call renders "[a,<pad>b]"; the brackets' lines are added
-            pad = "\n" + "  " * (level + 1)
-            text = "".join(_leaf_encoder(level + 1)(value, 0))
-            out.extend(("[", pad, text[1:-1], pad[:-2], "]"))
-        else:
-            _write_members("[]", zip(repeat(""), repeat(write_item), value), level, out)
+            return
+        opening, sep, closing = heads[level]
+        if leaves:  # one C call renders "[a,<pad>b]"; the brackets' lines are added
+            out += (opening, "".join(_leaf_encoder(level + 1)(value, 0))[1:-1], closing)
+            return
+        for x in value:
+            out.append(opening)
+            write_item(x, level + 1, out)
+            opening = sep
+        out.append(closing)
 
     return read, write
 
@@ -599,61 +603,137 @@ def _tuple_codec(item: Any) -> tuple[_Reader, _Writer]:
 def _mapping_codec(key_type: type[Enum], value_type: Any) -> tuple[_Reader, _Writer]:
     read_value, write_value = _codec(value_type)
     keys = {m.value for m in key_type}
+    members = [(m, m.value) for m in key_type]
     order = sorted(key_type, key=lambda m: m.value)
-    heads = [json.dumps(m.value, ensure_ascii=False) + ": " for m in order]
+    heads = _Heads("{}", [_head(m.value) for m in order])
     get_values = operator.itemgetter(*order)
 
     def read(node: Any) -> dict[Enum, Any]:
-        _check_object(node, keys, keys)
+        if type(node) is not dict or node.keys() != keys:
+            _check_object(node, keys, keys)
         out = {}
-        for member in key_type:
+        for member, key in members:
             try:
-                out[member] = read_value(node[member.value])
+                out[member] = read_value(node[key])
             except _CodecError as e:
-                e.path.append(f".{member.value}")
+                e.path.append(f".{key}")
                 raise
         return out
 
     def write(value: Mapping[Enum, Any], level: int, out: list[str]) -> None:
-        _write_members("{}", zip(heads, repeat(write_value), get_values(value)), level, out)
+        h = heads[level]
+        for head, item in zip(h, get_values(value)):
+            out.append(head)
+            write_value(item, level + 1, out)
+        out.append(h[-1])
 
     return read, write
+
+
+#: What the generated record code calls, besides its own per-field constants.
+_RECORD_GLOBALS = {
+    "_CodecError": _CodecError,
+    "_check_object": _check_object,
+    "_read_float": _read_float,
+    "quote": json.encoder.encode_basestring,
+    "int_text": int.__repr__,
+    "join": "".join,
+    "encode": _encode_leaf,
+}
+
+
+def _field_code(tp: Any, v: str, ns: dict[str, Any]) -> tuple[list[str], str | None]:
+    """Code for a record field held in the local ``v``: the statements that check
+    it when read (converting it in place), and the expression of its text when
+    written, or None when the writer ``ns[v + "_write"]`` writes it."""
+    leaf = f"join(encode({v}, 0))"
+    if tp in _SCALAR_NOUNS:
+        name, fast = tp.__name__, {str: "quote", int: "int_text"}.get(tp)
+        fault = "expected " + _SCALAR_NOUNS[tp]
+        check = f"if type({v}) is not {name}: raise _CodecError({fault!r})"
+        return [check], f"({fast}({v}) if type({v}) is {name} else {leaf})" if fast else leaf
+    if tp is float:
+        return [f"if type({v}) is not float: {v} = _read_float({v})"], leaf
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        members = ns[v + "_members"] = {m.value: m for m in tp}
+        ns[v + "_types"] = {type(value) for value in members}
+        ns[v + "_texts"] = {value: json.dumps(value, ensure_ascii=False) for value in members}
+        ns[v + "_fault"] = f"expected one of {sorted(members)}, got "
+        return [
+            f"if type({v}) not in {v}_types or {v} not in {v}_members:",
+            f"    raise _CodecError({v}_fault + repr({v}))",
+            f"{v} = {v}_members[{v}]",
+        ], f"{v}_texts[{v}._value_]"
+    args = get_args(tp)
+    if get_origin(tp) is UnionType and len(args) == 2 and type(None) in args:
+        checks, text = _field_code(next(a for a in args if a is not type(None)), v, ns)
+        if text is None:
+            raise TypeError(f"no JSON codec for {tp!r}")
+        return [f"if {v} is not None:", *("    " + c for c in checks)], (
+            f"('null' if {v} is None else {text})"
+        )
+    ns[v + "_read"], ns[v + "_write"] = _codec(tp)
+    if get_origin(tp) is tuple and args[0] in _LEAF_TYPES:  # one C-level check of the items
+        ns[v + "_items"] = frozenset({args[0]})
+        return [
+            f"if type({v}) is list and set(map(type, {v})) <= {v}_items: {v} = tuple({v})",
+            f"else: {v} = {v}_read({v})",
+        ], None
+    return [f"{v} = {v}_read({v})"], None
 
 
 def _record_codec(cls: type) -> tuple[_Reader, _Writer]:
+    """Compile the reader and the writer of one dataclass (see the comment above)."""
     hints = get_type_hints(cls)
-    specs = []  # (field name, JSON key, reader, writer)
-    required = set()
-    for f in fields(cls):
-        key = f.metadata.get("json_key", f.name)
-        specs.append((f.name, key, *_codec(hints[f.name])))
-        if not f.metadata.get("optional"):
-            required.add(key)
-    keys = {key for _, key, _, _ in specs}
+    specs = [(f, f.metadata.get("json_key", f.name), f"f{i}") for i, f in enumerate(fields(cls))]
+    ns: dict[str, Any] = {
+        **_RECORD_GLOBALS,
+        "cls": cls,
+        "keys": {key for _, key, _ in specs},
+        "required": {key for f, key, _ in specs if not f.metadata.get("optional")},
+    }
+    code = {v: _field_code(hints[f.name], v, ns) for f, _, v in specs}
+
+    read = [
+        "def read(node):",
+        "    if type(node) is not dict or node.keys() != keys:",
+        "        _check_object(node, keys, required)",
+        "    try:",
+    ]
+    for f, key, v in specs:
+        lines = [f"{v} = node[{key!r}]", *code[v][0]]
+        if key not in ns["required"]:  # absent: the field default applies
+            ns[v + "_default"] = f.default_factory if f.default is MISSING else f.default
+            default = f"{v}_default()" if f.default is MISSING else f"{v}_default"
+            lines = [f"if {key!r} in node:", *("    " + x for x in lines), f"else: {v} = {default}"]
+        read += ("        " + x for x in [f"at = {'.' + key!r}", *lines])
+    read += [
+        "    except _CodecError as e:",
+        "        e.path.append(at)",
+        "        raise",
+        "    try:",
+        f"        return cls({', '.join(v for _, _, v in specs)})",
+        "    except ValueError as e:",
+        "        raise _CodecError(str(e)) from e",
+    ]
+
     written = sorted(specs, key=lambda spec: spec[1])
-    heads = [json.dumps(key, ensure_ascii=False) + ": " for _, key, _, _ in written]
-    writers = [write_field for _, _, _, write_field in written]
-    get_values = operator.attrgetter(*(name for name, _, _, _ in written))
+    ns["heads"] = _Heads("{}", [_head(key) for _, key, _ in written])
+    write = ["def write(obj, level, out):", "    h = heads[level]"]
+    chunks = ["h[0]"]
+    for i, (f, _, v) in enumerate(written, 1):
+        write.append(f"    {v} = obj.{f.name}")
+        text = code[v][1]
+        if text is None:
+            write += [f"    out += ({', '.join(chunks)},)", f"    {v}_write({v}, level + 1, out)"]
+            chunks = []
+        else:
+            chunks.append(text)
+        chunks.append(f"h[{i}]")
+    write.append(f"    out += ({', '.join(chunks)},)")
 
-    def read(node: Any) -> Any:
-        _check_object(node, keys, required)
-        kwargs = {}
-        for name, key, read_field, _ in specs:
-            if key in node:  # absent only when optional: the field default applies
-                try:
-                    kwargs[name] = read_field(node[key])
-                except _CodecError as e:
-                    e.path.append(f".{key}")
-                    raise
-        try:
-            return cls(**kwargs)
-        except ValueError as e:
-            raise _CodecError(str(e)) from e
-
-    def write(obj: Any, level: int, out: list[str]) -> None:
-        _write_members("{}", zip(heads, writers, get_values(obj)), level, out)
-
-    return read, write
+    exec(compile("\n".join(read + write), f"<{cls.__name__} codec>", "exec"), ns)
+    return ns["read"], ns["write"]
 
 
 def _read_document(tp: type, text: str, error: type[ValueError], root: str) -> Any:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -13,6 +14,7 @@ from helpers import drop_first_score, make_scenario, simple_run_fixtures
 from test_acceptance import GOLDEN_RUN_SHA256
 from transact.cli import EXIT_GATE, EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, main
 from transact.core import (
+    fingerprint_scenario,
     parse_transcript,
     serialize_scenario,
     serialize_transcript,
@@ -300,6 +302,21 @@ class TestAnalyze:
         path.write_text(json.dumps(tree), encoding="utf-8")
         assert run_cli("analyze", "--transcript", path) == EXIT_INPUT
 
+    def test_score_too_large_for_a_float_is_input_error(self, tmp_path, golden_transcript, capsys):
+        tree = json.loads(serialize_transcript(golden_transcript))
+        i, j = next(
+            (i, j)
+            for i, u in enumerate(tree["utterances"])
+            for j, event in enumerate(u["retrieval_log"])
+            if event["scores"]
+        )
+        tree["utterances"][i]["retrieval_log"][j]["scores"][0] = 10**400
+        path = tmp_path / "huge-score.json"
+        path.write_text(json.dumps(tree), encoding="utf-8")
+        assert run_cli("analyze", "--transcript", path) == EXIT_INPUT
+        where = f"utterances[{i}].retrieval_log[{j}].scores[0]"
+        assert f"{where}: number out of range for a float" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "out_path",
         [lambda tmp: _mkdir(tmp / "outdir"), lambda tmp: tmp / "absent" / "report.json"],
@@ -320,6 +337,52 @@ class TestAnalyze:
         assert run_cli("analyze", "--transcript", golden_file, "--budget", budget) == EXIT_INPUT
         assert f"error: --budget must be >= 1, got {budget}" in capsys.readouterr().err
 
+    @pytest.fixture()
+    def budget_two(self, tmp_path, stupid_scenario, golden_transcript):
+        """A budget-2 copy of the bundled scenario, and the golden transcript
+        re-pinned to it with one candidate that made 3 searches."""
+        cfg = dataclasses.replace(stupid_scenario, tool_budget=2)
+        first, *rest = golden_transcript.utterances
+        over = dataclasses.replace(first.candidates[0], searches_performed=3)
+        first = dataclasses.replace(first, candidates=(over, *first.candidates[1:]))
+        transcript = dataclasses.replace(
+            golden_transcript,
+            scenario_fingerprint=fingerprint_scenario(cfg),
+            utterances=(first, *rest),
+        )
+        scenario_path = tmp_path / "budget2.json"
+        scenario_path.write_text(serialize_scenario(cfg), encoding="utf-8")
+        transcript_path = tmp_path / "budget2-run.json"
+        transcript_path.write_text(serialize_transcript(transcript), encoding="utf-8")
+        return scenario_path, transcript_path
+
+    def test_scenario_sets_the_audited_budget(self, budget_two, capsys):
+        scenario, transcript = budget_two
+        assert run_cli("analyze", "--transcript", transcript) == EXIT_OK
+        assert "budget audit (limit 5): clean" in capsys.readouterr().out
+        assert run_cli("analyze", "--transcript", transcript, "--scenario", scenario) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "budget audit (limit 2): FAILED" in out
+        assert "turn 0, Alex/Parent: 3 searches" in out
+
+    def test_scenario_of_another_run_is_input_error(self, golden_file, budget_two, capsys):
+        scenario, _ = budget_two
+        assert run_cli("analyze", "--transcript", golden_file, "--scenario", scenario) == EXIT_INPUT
+        assert "is not the scenario of this transcript" in capsys.readouterr().err
+
+    def test_unparseable_scenario_is_input_error(self, tmp_path, golden_file, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"agents": []}', encoding="utf-8")
+        assert run_cli("analyze", "--transcript", golden_file, "--scenario", broken) == EXIT_INPUT
+        assert "error: scenario does not parse: " in capsys.readouterr().err
+
+    def test_scenario_and_budget_are_exclusive(self, golden_file, budget_two, capsys):
+        scenario, _ = budget_two
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("analyze", "--transcript", golden_file, "--scenario", scenario, "--budget", 2)
+        assert exit_info.value.code == EXIT_INPUT
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_report_file_regenerates_byte_identically(self, tmp_path, golden_file):
         first = tmp_path / "r1.json"
         second = tmp_path / "r2.json"
@@ -338,6 +401,17 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")
         assert run_cli("validate", "--scenario", path) == EXIT_INPUT
+
+
+    def test_weight_too_large_for_a_float_is_input_error(self, tmp_path, stupid_scenario, capsys):
+        text = serialize_scenario(stupid_scenario)
+        weight = '"relevance": ' + json.dumps(stupid_scenario.decision_weights.relevance)
+        assert weight in text
+        path = tmp_path / "huge-weight.json"
+        path.write_text(text.replace(weight, '"relevance": ' + "9" * 400), encoding="utf-8")
+        assert run_cli("validate", "--scenario", path) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "decision_weights.relevance: number out of range for a float" in err
 
 
 class TestInteractive:

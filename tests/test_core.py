@@ -347,7 +347,7 @@ class TestCanonicalWriter:
 # document either parses or raises that document's format error, located once.
 # ---------------------------------------------------------------------------
 
-REPLACEMENTS = (None, True, 1, 1.5, "x", [], {})
+REPLACEMENTS = (None, True, 1, 1.5, "x", [], {}, 10**400)
 
 
 def _json_type(value) -> str:
@@ -441,6 +441,8 @@ def test_mutation_table_for_the_strict_readers(root):
                 or (kind is None and path == ("termination_reason",))
             )
             assert allowed or not accepted, f"{label}: replaced {original!r} accepted"
+            # A node of the wrong JSON type is reported at that node, not at an ancestor.
+            assert allowed or where == _where(path), f"{label}: located at {str(e)!r}"
         checked += 1
     assert checked > 500
 
@@ -495,4 +497,6 @@ def test_decision_scores_bounds():
         CriterionScores(11, 0, 0, 0)
     with pytest.raises(ValueError):
         CriterionScores(-1, 0, 0, 0)
+    with pytest.raises(ValueError):  # a bool is written as true, which no reader takes back
+        CriterionScores(True, 0, 0, 0)
     CriterionScores(0, 10, 5, 7)
