@@ -9,7 +9,10 @@ see each other's life scripts, memories, or losing candidates.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Mapping, Sequence
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from contextlib import nullcontext
+from functools import partial
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .core import (
     DecisionRecord,
@@ -34,6 +37,8 @@ from .runlog import RunLog
 
 logger = logging.getLogger(__name__)
 
+T = TypeVar("T")
+
 PartitionKey = tuple[str, EgoState]
 
 HUMAN_RATIONALE = "human input"
@@ -56,15 +61,31 @@ class SimulationError(RuntimeError):
         self.cause = cause
 
 
-def build_indices(cfg: ScenarioConfig, embedder: Embedder) -> dict[PartitionKey, MemoryIndex]:
-    """Build all six partition indices."""
-    indices: dict[PartitionKey, MemoryIndex] = {}
-    for agent in cfg.agents:
-        for persona in agent.personas:
-            indices[(agent.name, persona.ego_state)] = build_index(
-                persona.memories, embedder, agent=agent.name, ego_state=persona.ego_state
-            )
-    return indices
+def _gather(executor: Executor | None, jobs: Sequence[Callable[[], T]]) -> list[T]:
+    """Each job's result, in job order.
+
+    Without an executor the jobs run one after another on this thread. With
+    one they run concurrently, and every job finishes before the first
+    failure, in job order, is raised.
+    """
+    if executor is None:
+        return [job() for job in jobs]
+    futures = [executor.submit(job) for job in jobs]
+    wait(futures)
+    return [f.result() for f in futures]
+
+
+def build_indices(
+    cfg: ScenarioConfig, embedder: Embedder, executor: Executor | None = None
+) -> dict[PartitionKey, MemoryIndex]:
+    """Build all six partition indices, concurrently on ``executor`` if given."""
+    partitions = [(agent.name, persona) for agent in cfg.agents for persona in agent.personas]
+    jobs = [
+        partial(build_index, persona.memories, embedder, agent=name, ego_state=persona.ego_state)
+        for name, persona in partitions
+    ]
+    built = _gather(executor, jobs)
+    return {(name, persona.ego_state): index for (name, persona), index in zip(partitions, built)}
 
 
 def _speaker_at(cfg: ScenarioConfig, turn: int) -> str:
@@ -80,11 +101,17 @@ def step_turn(
     embedder: Embedder,
     indices: Mapping[PartitionKey, MemoryIndex],
     run_log: RunLog,
+    executor: Executor | None = None,
 ) -> Utterance:
     """Run the next turn, ``len(utterances)``, and return its utterance.
 
-    The speaker follows from the turn number. The three ego turns run in
-    EGO_ORDER and share only immutable context. ``utterances`` is not changed.
+    The speaker follows from the turn number. The three ego turns share only
+    immutable context. Without an executor they run in EGO_ORDER and record
+    straight into ``run_log``. With one they run concurrently, each into its
+    own log; once all three have finished, their events are appended to
+    ``run_log`` in EGO_ORDER, so the log reads as a sequential run's would,
+    and the first failure in EGO_ORDER is raised. ``utterances`` is not
+    changed.
     """
     turn = len(utterances)
     if turn >= cfg.max_turns:
@@ -92,20 +119,33 @@ def step_turn(
     agent = cfg.agent(_speaker_at(cfg, turn))
     history = tuple((u.speaker, u.text) for u in utterances)
 
-    outcomes = []
-    for ego in EGO_ORDER:
-        ctx = EgoTurnContext(
-            agent=agent.name,
-            turn=turn,
-            opening_prompt=cfg.opening_prompt,
-            history=history,
-            descriptor=agent.persona(ego).descriptor,
-            tool_budget=cfg.tool_budget,
-            k=cfg.k,
+    ego_logs = [run_log if executor is None else RunLog() for _ in EGO_ORDER]
+    jobs = [
+        partial(
+            run_ego_turn,
+            EgoTurnContext(
+                agent=agent.name,
+                turn=turn,
+                opening_prompt=cfg.opening_prompt,
+                history=history,
+                descriptor=agent.persona(ego).descriptor,
+                tool_budget=cfg.tool_budget,
+                k=cfg.k,
+            ),
+            ego,
+            indices[(agent.name, ego)],
+            provider,
+            embedder,
+            ego_log,
         )
-        outcomes.append(
-            run_ego_turn(ctx, ego, indices[(agent.name, ego)], provider, embedder, run_log)
-        )
+        for ego, ego_log in zip(EGO_ORDER, ego_logs)
+    ]
+    try:
+        outcomes = _gather(executor, jobs)
+    finally:
+        if executor is not None:
+            for ego_log in ego_logs:
+                run_log.extend(ego_log)
 
     candidates = tuple(o.response for o in outcomes)
     decision = decide(
@@ -206,7 +246,6 @@ def run_simulation(
 
     log = run_log or RunLog()
     fingerprint = fingerprint_scenario(cfg)
-    indices = build_indices(cfg, embedder)
     provider_id = ProviderId(kind=provider.kind, model=provider.model, embedder=embedder.id)
     utterances: list[Utterance] = []
 
@@ -219,24 +258,34 @@ def run_simulation(
             termination_reason=reason,
         )
 
-    while len(utterances) < cfg.max_turns:
-        turn = len(utterances)
-        speaker = _speaker_at(cfg, turn)
-        log.record("turn_start", turn=turn, speaker=speaker)
-        try:
-            if speaker == human_agent:
-                utterance = _human_turn(cfg, utterances, input_fn, log)
-            else:
-                utterance = step_turn(cfg, utterances, provider, embedder, indices, log)
-            # Kept before the callback, so a stop raised there keeps this turn.
-            utterances.append(utterance)
-            if on_utterance is not None:
-                on_utterance(utterance)
-        except (ProviderStopSignal, EOFError):
-            logger.info("provider layer stopped the run at turn %d", turn)
-            return snapshot(TerminationReason.PROVIDER_STOP)
-        except Exception as e:
-            raise SimulationError(
-                f"turn {turn} ({speaker}) failed: {e}", snapshot(None), e
-            ) from e
+    # Over the network the index builds and a turn's ego states spend their
+    # time waiting on round trips, so they overlap, one worker per partition.
+    # Scripted runs are pure Python under the GIL: threads only slow them.
+    partitions = sum(len(agent.personas) for agent in cfg.agents)
+    with (
+        ThreadPoolExecutor(partitions, thread_name_prefix="transact-partition")
+        if provider.kind == "http"
+        else nullcontext()
+    ) as pool:
+        indices = build_indices(cfg, embedder, pool)
+        while len(utterances) < cfg.max_turns:
+            turn = len(utterances)
+            speaker = _speaker_at(cfg, turn)
+            log.record("turn_start", turn=turn, speaker=speaker)
+            try:
+                if speaker == human_agent:
+                    utterance = _human_turn(cfg, utterances, input_fn, log)
+                else:
+                    utterance = step_turn(cfg, utterances, provider, embedder, indices, log, pool)
+                # Kept before the callback, so a stop raised there keeps this turn.
+                utterances.append(utterance)
+                if on_utterance is not None:
+                    on_utterance(utterance)
+            except (ProviderStopSignal, EOFError):
+                logger.info("provider layer stopped the run at turn %d", turn)
+                return snapshot(TerminationReason.PROVIDER_STOP)
+            except Exception as e:
+                raise SimulationError(
+                    f"turn {turn} ({speaker}) failed: {e}", snapshot(None), e
+                ) from e
     return snapshot(TerminationReason.MAX_TURNS)

@@ -21,12 +21,13 @@ import urllib.parse
 import urllib.request
 import weakref
 from collections import Counter, deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
 from hashlib import blake2b
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .memory import EmbeddingVector, MemoryIndexError
 from .runlog import RunLog
@@ -275,9 +276,11 @@ def _host_port(parts: urllib.parse.SplitResult, what: str, default_port: int) ->
     return parts.hostname, port
 
 
-def _connection_for(url: str, timeout: float) -> tuple[http.client.HTTPConnection, str, dict]:
-    """An unopened connection that reaches ``url``, the request target to send
-    on it, and the headers the proxy needs, if any.
+def _connector(
+    url: str, timeout: float
+) -> tuple[Callable[[], http.client.HTTPConnection], str, dict]:
+    """A function that makes a new, unopened connection reaching ``url``, the
+    request target to send on it, and the headers the proxy needs, if any.
 
     The proxy is the one ``urllib.request.getproxies()`` names for the URL's
     scheme, unless ``urllib.request.proxy_bypass`` exempts the host: an
@@ -303,16 +306,19 @@ def _connection_for(url: str, timeout: float) -> tuple[http.client.HTTPConnectio
             token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
             proxy_headers["Proxy-Authorization"] = f"Basic {token}"
     if not https:
-        conn = http.client.HTTPConnection(*address, timeout=timeout)
         if proxied:
             target = urllib.parse.urlunsplit(parts._replace(fragment=""))
-        return conn, target, proxy_headers
-    conn = http.client.HTTPSConnection(
-        *address, timeout=timeout, context=ssl.create_default_context()
-    )
-    if proxied:
-        conn.set_tunnel(host, port, proxy_headers)
-    return conn, target, {}
+        connect = partial(http.client.HTTPConnection, *address, timeout=timeout)
+        return connect, target, proxy_headers
+    context = ssl.create_default_context()
+
+    def connect() -> http.client.HTTPConnection:
+        conn = http.client.HTTPSConnection(*address, timeout=timeout, context=context)
+        if proxied:
+            conn.set_tunnel(host, port, proxy_headers)
+        return conn
+
+    return connect, target, {}
 
 
 def _retry_after_s(value: str | None, cap_s: float) -> float | None:
@@ -324,18 +330,26 @@ def _retry_after_s(value: str | None, cap_s: float) -> float | None:
     return min(float(value), cap_s)
 
 
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    while connections:
+        connections.pop().close()
+
+
 class _Endpoint:
     """One authenticated JSON endpoint of an HTTP client: POST {base_url}/{path}.
 
-    Requests go one at a time over one kept-alive connection, opened on first
-    use (see ``_connection_for`` for proxies). A request that fails on a
-    reused connection before any reply is resent at once on a new one: the
-    server had closed the keep-alive. Any other connection error closes the
-    connection. Connection errors, 429 and 5xx replies are retried
-    ``max_retries`` times, after the reply's ``Retry-After`` seconds on 429
-    and 503 (at most the timeout) or else after ``retry_delay_s``. A body is
-    read no further than ``response_byte_cap`` bytes: a longer one is a
-    provider error.
+    Safe to share across threads. Idle kept-alive connections wait on a
+    stack: a request takes the one used last, or opens a new one when none is
+    idle (see ``_connector`` for proxies), so callers that take turns share
+    one connection and ``n`` concurrent callers hold at most ``n``. A
+    connection goes back on the stack only after an exchange that read the
+    whole reply; any error closes it. A request that fails on a reused
+    connection before any reply is resent at once on a new one: the server
+    had closed the keep-alive. Connection errors, 429 and 5xx replies are
+    retried ``max_retries`` times, after the reply's ``Retry-After`` seconds
+    on 429 and 503 (at most the timeout) or else after ``retry_delay_s``. A
+    body is read no further than ``response_byte_cap`` bytes: a longer one is
+    a provider error.
     """
 
     def __init__(self, config: ProviderConfig, api_key: str, path: str) -> None:
@@ -345,7 +359,7 @@ class _Endpoint:
             )
         self._config = config
         self._url = f"{config.base_url.rstrip('/')}/{path}"
-        self._conn, self._target, proxy_headers = _connection_for(
+        self._connect, self._target, proxy_headers = _connector(
             self._url, config.timeout_ms / 1000.0
         )
         self._headers = {
@@ -353,9 +367,10 @@ class _Endpoint:
             "Content-Type": "application/json",
             **proxy_headers,
         }
+        self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
-        # The client owns its connection: it closes when the client is freed.
-        weakref.finalize(self, self._conn.close)
+        # The client owns its connections: the idle ones close when it is freed.
+        weakref.finalize(self, _close_all, self._idle)
 
     def post(self, payload: dict) -> dict:
         url, config = self._url, self._config
@@ -366,8 +381,7 @@ class _Endpoint:
                 time.sleep(delay_s)
             delay_s = config.retry_delay_s
             try:
-                with self._lock:
-                    status, retry_after, data = self._exchange(body)
+                status, retry_after, data = self._exchange(body)
             except (OSError, http.client.HTTPException) as e:
                 last_error = ProviderError(f"request to {url} failed: {e}")
                 continue
@@ -391,9 +405,12 @@ class _Endpoint:
     def _exchange(self, body: bytes) -> tuple[int, str | None, bytes]:
         """Send one request and read its reply: status, ``Retry-After`` and body.
 
-        Any failure closes the connection, so the next request opens a new one.
+        The connection is put back for the next request only when the reply
+        was read in full; on any failure it is closed and dropped.
         """
-        conn, cap = self._conn, self._config.response_byte_cap
+        with self._lock:
+            conn = self._idle.pop() if self._idle else self._connect()
+        cap = self._config.response_byte_cap
         try:
             reused = conn.sock is not None
             try:
@@ -406,12 +423,17 @@ class _Endpoint:
                 conn.request("POST", self._target, body, self._headers)
                 resp = conn.getresponse()
             data = resp.read(cap + 1)
+            if len(data) <= cap and resp.length:
+                # The server hung up before the end of the body it declared.
+                raise http.client.IncompleteRead(data, resp.length)
         except BaseException:
             conn.close()
             raise
         if len(data) > cap:
             conn.close()
             raise ProviderError(f"response body from {self._url} exceeds the {cap}-byte cap")
+        with self._lock:
+            self._idle.append(conn)
         return resp.status, resp.getheader("Retry-After"), data
 
 
@@ -545,10 +567,16 @@ class RemoteEmbedder:
 
 @dataclass
 class CachingEmbedder:
-    """Memoizes an inner embedder by exact text; one upstream call per distinct text."""
+    """Memoizes an inner embedder by exact text; one upstream call per distinct text.
+
+    A thread that misses a text another thread is already fetching waits for
+    that call and shares its vector, or its error. A failed call is not
+    cached: a later miss calls upstream again.
+    """
 
     inner: object
     _cache: dict[str, EmbeddingVector] = field(default_factory=dict, init=False)
+    _in_flight: dict[str, Future] = field(default_factory=dict, init=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False)
 
     @property
@@ -558,9 +586,22 @@ class CachingEmbedder:
     def embed(self, text: str) -> EmbeddingVector:
         with self._lock:
             hit = self._cache.get(text)
-        if hit is not None:
-            return hit
-        vec = self.inner.embed(text)  # type: ignore[attr-defined]
+            if hit is not None:
+                return hit
+            pending = self._in_flight.get(text)
+            if pending is None:
+                self._in_flight[text] = call = Future()
+        if pending is not None:
+            return pending.result()
+        try:
+            vec = self.inner.embed(text)  # type: ignore[attr-defined]
+        except BaseException as e:
+            with self._lock:
+                del self._in_flight[text]
+            call.set_exception(e)
+            raise
         with self._lock:
-            self._cache.setdefault(text, vec)
+            self._cache[text] = vec
+            del self._in_flight[text]
+        call.set_result(vec)
         return vec

@@ -25,6 +25,13 @@ class RunLog:
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("%s", json.dumps(event, sort_keys=True, default=str))
 
+    def extend(self, other: RunLog) -> None:
+        """Append ``other``'s events after this log's, in their order."""
+        with other._lock:
+            events = list(other.events)
+        with self._lock:
+            self.events.extend(events)
+
     def count(self, kind: str, **match: object) -> int:
         with self._lock:
             return sum(

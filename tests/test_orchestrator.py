@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import pytest
 
 from helpers import final_step, make_scenario, scores_reply, search_step, simple_run_fixtures
 from transact.core import (
+    EGO_ORDER,
     EgoState,
     TerminationReason,
     fingerprint_scenario,
@@ -214,6 +216,69 @@ class TestRunSimulation:
         assert log.count("provider_call") == len(provider.call_log) == 7
         sample = next(e for e in log.events if e["kind"] == "provider_call")
         assert {"backend", "agent", "role", "turn", "request_bytes", "response_bytes"} <= set(sample)
+
+
+class MeetingProvider(ScriptedProvider):
+    """A scripted provider that reports the network backend. Each ego state's
+    first call of a turn waits until all three have made theirs, so a turn
+    only completes when its ego states run at the same time."""
+
+    kind = "http"
+
+    def __init__(self, fixtures) -> None:
+        super().__init__(fixtures)
+        self.barrier = threading.Barrier(len(EGO_ORDER), timeout=5)
+        self.ego_threads: set[threading.Thread] = set()
+
+    def complete(self, messages, stop_markers=(), caller=None):
+        if caller.role != "decision":
+            self.ego_threads.add(threading.current_thread())
+            if len(messages) == 2:
+                self.barrier.wait()
+        return super().complete(messages, stop_markers, caller)
+
+
+class TestConcurrentEgoStates:
+    def test_network_backend_runs_a_turns_ego_states_at_once(self):
+        cfg = make_scenario(max_turns=3)
+        scripted, scripted_log = ScriptedProvider(simple_run_fixtures(cfg)), RunLog()
+        reference = run_simulation(cfg, scripted, HashEmbedder(), run_log=scripted_log)
+        provider, log = MeetingProvider(simple_run_fixtures(cfg)), RunLog()
+        threads = threading.active_count()
+        t = run_simulation(cfg, provider, HashEmbedder(), run_log=log)
+        assert threading.active_count() == threads
+        assert threading.current_thread() not in provider.ego_threads
+        assert t.utterances == reference.utterances
+        # Merged in EGO_ORDER once all three finish: the sequential run's log.
+        assert [{**e, "backend": "scripted"} if "backend" in e else e for e in log.events] == (
+            scripted_log.events
+        )
+
+    def test_scripted_backend_runs_on_the_calling_thread(self):
+        cfg = make_scenario(max_turns=2)
+        provider = MeetingProvider(simple_run_fixtures(cfg))
+        provider.kind = "scripted"
+        provider.barrier = threading.Barrier(1)  # nothing to wait for
+        run_simulation(cfg, provider, HashEmbedder())
+        assert provider.ego_threads == {threading.current_thread()}
+
+    def test_every_ego_state_finishes_before_the_first_failure_is_raised(self):
+        cfg = make_scenario(max_turns=1)
+        fixtures = simple_run_fixtures(cfg)
+        # Parent and Child get their search step but no answer; Adult gets both.
+        short = {f"{cfg.first_speaker}/Parent", f"{cfg.first_speaker}/Child"}
+        provider = MeetingProvider(
+            [f for f in fixtures if f[0] not in short]
+            + [next(f for f in fixtures if f[0] == key) for key in sorted(short)]
+        )
+        threads = threading.active_count()
+        first = f"turn 0 .*exhausted for {cfg.first_speaker}/Parent"
+        with pytest.raises(SimulationError, match=first) as err:
+            run_simulation(cfg, provider, HashEmbedder())
+        assert threading.active_count() == threads
+        assert err.value.transcript.utterances == ()
+        answered = [c.caller.role for c in provider.call_log]
+        assert sorted(answered) == ["Adult", "Adult", "Child", "Parent"]
 
 
 class TestHumanAgent:

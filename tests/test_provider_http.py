@@ -6,11 +6,14 @@ import base64
 import contextlib
 import json
 import os
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from transact.memory import EmbeddingVector
 from transact.provider import (
     CachingEmbedder,
     CallerInfo,
@@ -86,9 +89,9 @@ class HangUpHandler(KeepAliveHandler):
         self.server.requests.append({"path": self.path, "port": self.client_address[1]})
 
 
-class OversizeFirstReplyHandler(KeepAliveHandler):
-    """Answers the first request with a declared 64 MiB body, streamed until
-    the client hangs up; later requests get their scripted replies."""
+class FirstReplyHandler(KeepAliveHandler):
+    """Answers the first request with ``first_reply``; later requests get
+    their scripted replies."""
 
     def do_POST(self):  # noqa: N802 (http.server naming)
         if self.server.requests:
@@ -96,6 +99,16 @@ class OversizeFirstReplyHandler(KeepAliveHandler):
             return
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
         self.server.requests.append({"path": self.path, "port": self.client_address[1]})
+        self.first_reply()
+
+    def first_reply(self) -> None:
+        raise NotImplementedError
+
+
+class OversizeFirstReplyHandler(FirstReplyHandler):
+    """A declared 64 MiB body, streamed until the client hangs up."""
+
+    def first_reply(self) -> None:
         size, chunk = 64 << 20, b"x" * (64 << 10)
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -107,6 +120,47 @@ class OversizeFirstReplyHandler(KeepAliveHandler):
         except OSError:  # the client stopped reading at its cap and hung up
             pass
         self.close_connection = True
+
+
+class SlowFirstReplyHandler(FirstReplyHandler):
+    """A reply sent after ``DELAY_S``, by when the client has given up on it."""
+
+    DELAY_S = 0.5
+
+    def first_reply(self) -> None:
+        time.sleep(self.DELAY_S)
+        data = json.dumps(completion_payload("late")).encode("utf-8")
+        try:
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        except OSError:  # the client hung up when it timed out
+            self.close_connection = True
+
+
+class TruncatedFirstReplyHandler(FirstReplyHandler):
+    """Half the body it declares, then a hang-up."""
+
+    def first_reply(self) -> None:
+        data = json.dumps(completion_payload("cut short")).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data[: len(data) // 2])
+        self.close_connection = True
+
+
+class MeetingHandler(KeepAliveHandler):
+    """Holds the first request on each connection until ``server.barrier``
+    trips, so it succeeds only when that many requests arrive at once, each
+    on its own connection."""
+
+    def do_POST(self):  # noqa: N802 (http.server naming)
+        if not getattr(self, "met", False):
+            self.met = True
+            self.server.barrier.wait()
+        super().do_POST()
 
 
 @contextlib.contextmanager
@@ -274,6 +328,55 @@ class TestRemoteEmbedder:
         with pytest.raises(ProviderError, match="TRANSACT_API_KEY"):
             RemoteEmbedder(config_for(stub_server), api_key="")
 
+    def test_concurrent_misses_of_one_text_make_one_upstream_call(self):
+        class Blocking:
+            id = "blocking"
+
+            def __init__(self) -> None:
+                self.calls = 0
+                self.entered = threading.Event()
+                self.release = threading.Event()
+
+            def embed(self, text):
+                self.calls += 1
+                self.entered.set()
+                assert self.release.wait(timeout=5)
+                return EmbeddingVector((float(len(text)), 1.0))
+
+        inner = Blocking()
+        embedder = CachingEmbedder(inner)
+        results = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: results.append(embedder.embed("same text")))
+                for _ in range(8)
+            ]
+            for t in threads:
+                t.start()
+            assert inner.entered.wait(timeout=5)
+            time.sleep(0.05)  # the other threads miss while the first call is in flight
+            inner.release.set()
+            for t in threads:
+                t.join(timeout=5)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert inner.calls == 1
+        assert results == [EmbeddingVector((9.0, 1.0))] * 8
+
+    def test_a_failed_upstream_call_is_not_cached(self, stub_server):
+        stub_server.script["/embeddings"] = [
+            (400, {"error": "bad input"}),
+            (200, {"data": [{"embedding": [0.6, 0.8]}]}),
+        ]
+        embedder = CachingEmbedder(RemoteEmbedder(config_for(stub_server), api_key="test-key"))
+        with pytest.raises(ProviderError, match="400"):
+            embedder.embed("text")
+        assert embedder.embed("text").values == (0.6, 0.8)
+        assert len(stub_server.requests) == 2
+
     def test_caching_layer_makes_one_upstream_call(self, stub_server):
         stub_server.script["/embeddings"] = [(200, {"data": [{"embedding": [0.6, 0.8]}]})]
         embedder = CachingEmbedder(RemoteEmbedder(config_for(stub_server), api_key="test-key"))
@@ -340,6 +443,53 @@ class TestConnection:
                 provider.complete(MESSAGES)
             assert provider.complete(MESSAGES) == "small"
         assert len({req["port"] for req in server.requests}) == 2
+
+    def test_concurrent_callers_open_no_more_connections_than_callers(self):
+        callers, calls_each = 4, 5
+        with serving(MeetingHandler) as server:
+            server.barrier = threading.Barrier(callers, timeout=5)
+            server.script["/chat/completions"] = [
+                (200, completion_payload("shared")) for _ in range(callers * calls_each)
+            ]
+            provider = HttpProvider(config_for(server, max_retries=0), api_key="test-key")
+            replies: list[str] = []
+
+            def call() -> None:
+                for _ in range(calls_each):
+                    replies.append(provider.complete(MESSAGES))
+
+            threads = [threading.Thread(target=call) for _ in range(callers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+        assert replies == ["shared"] * (callers * calls_each)
+        # Each caller's first request needed a connection of its own; none needed more.
+        assert len({req["port"] for req in server.requests}) == callers
+
+    @pytest.mark.parametrize(
+        "handler, error",
+        [(SlowFirstReplyHandler, "timed out"), (TruncatedFirstReplyHandler, "IncompleteRead")],
+        ids=["timed-out", "truncated"],
+    )
+    def test_a_connection_that_failed_is_never_reused(self, handler, error):
+        # A reply over the byte cap is test_body_over_the_cap_fails_and_the_next_call_reconnects.
+        with serving(handler) as server:
+            server.script["/chat/completions"] = [
+                (200, completion_payload(f"reply {i}")) for i in range(3)
+            ]
+            provider = HttpProvider(
+                config_for(server, timeout_ms=200, max_retries=0), api_key="test-key"
+            )
+            with pytest.raises(ProviderError, match=error):
+                provider.complete(MESSAGES)
+            assert [provider.complete(MESSAGES) for _ in range(3)] == [
+                f"reply {i}" for i in range(3)
+            ]
+        failed, *later = [req["port"] for req in server.requests]
+        assert failed not in later
+        assert len(set(later)) == 1
 
     @pytest.mark.parametrize(
         "status, retry_after, delay",
