@@ -25,6 +25,7 @@ from .core import (
     DecisionWeights,
     EgoPersona,
     EgoResponse,
+    EgoScores,
     EgoState,
     MemoryRecord,
     ProviderId,

@@ -74,9 +74,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as e:
-        if isinstance(e, SimulationError) and args.out:
-            Path(args.out).write_bytes(serialize_transcript(e.transcript).encode("utf-8"))
-            print(f"partial transcript written to {args.out}", file=sys.stderr)
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 
@@ -221,14 +218,34 @@ def _check_out(args: argparse.Namespace, *, log: bool) -> None:
         raise CliInputError(f"--out {out}: {out.parent} is not a directory")
 
 
-def _finish_run(t: Transcript, args: argparse.Namespace, run_log: RunLog) -> None:
-    # Serialized once: the printed hash is the hash of the bytes written.
+def _write_out(t: Transcript, args: argparse.Namespace, run_log: RunLog) -> bytes:
+    """Serialize ``t`` once, so a printed hash is the hash of the bytes written;
+    with ``--out``, write them there and the run log to its ``.log`` sibling."""
     data = serialize_transcript(t).encode("utf-8")
     if args.out:
         out = Path(args.out)
         out.write_bytes(data)
         run_log.write_jsonl(out.with_name(out.name + ".log"))
-        print(f"transcript written to {out}")
+    return data
+
+
+def _simulate(
+    args: argparse.Namespace, run_log: RunLog, cfg: ScenarioConfig, provider, embedder, **options
+) -> Transcript:
+    """``run_simulation``; a failed run writes its partial transcript and run log."""
+    try:
+        return run_simulation(cfg, provider, embedder, run_log=run_log, **options)
+    except SimulationError as e:
+        if args.out:
+            _write_out(e.transcript, args, run_log)
+            print(f"partial transcript written to {args.out}", file=sys.stderr)
+        raise
+
+
+def _finish_run(t: Transcript, args: argparse.Namespace, run_log: RunLog) -> None:
+    data = _write_out(t, args, run_log)
+    if args.out:
+        print(f"transcript written to {Path(args.out)}")
     print(f"transcript hash: {hashlib.sha256(data).hexdigest()}")
 
 
@@ -237,7 +254,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     provider, embedder = _build_backend(args)
     _check_out(args, log=True)
     run_log = RunLog()
-    transcript = run_simulation(cfg, provider, embedder, run_log=run_log)
+    transcript = _simulate(args, run_log, cfg, provider, embedder)
     for u in transcript.utterances:
         print(_summary_line(u))
     _finish_run(transcript, args, run_log)
@@ -258,11 +275,12 @@ def cmd_interactive(args: argparse.Namespace) -> int:
         if u.speaker != args.play_as:
             print(_summary_line(u))
 
-    transcript = run_simulation(
+    transcript = _simulate(
+        args,
+        run_log,
         cfg,
         provider,
         embedder,
-        run_log=run_log,
         human_agent=args.play_as,
         input_fn=input,
         on_utterance=show,

@@ -11,15 +11,13 @@ weighted argmax of its scores.
 
 from __future__ import annotations
 
-import collections.abc
 import functools
 import hashlib
 import json
-import operator
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from types import UnionType
-from typing import Any, Callable, Iterable, Mapping, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, get_args, get_origin, get_type_hints
 
 
 class EgoState(Enum):
@@ -37,13 +35,6 @@ class EgoState(Enum):
 EGO_ORDER: tuple[EgoState, EgoState, EgoState] = (
     EgoState.PARENT,
     EgoState.ADULT,
-    EgoState.CHILD,
-)
-
-#: Tie-break priority for decision selection (reality-testing state first).
-TIE_BREAK_ORDER: tuple[EgoState, EgoState, EgoState] = (
-    EgoState.ADULT,
-    EgoState.PARENT,
     EgoState.CHILD,
 )
 
@@ -162,9 +153,17 @@ def _covers_each_ego_once(egos: Iterable[EgoState]) -> bool:
 _EGO_SET = frozenset(EGO_ORDER)
 
 
-def _zero_scores() -> dict[EgoState, CriterionScores]:
-    """All-zero marks for every ego state: ``select_ego`` then picks Adult."""
-    return dict.fromkeys(EGO_ORDER, CriterionScores(0, 0, 0, 0))
+@dataclass(frozen=True)
+class EgoScores:
+    """One decision's marks for each ego state's candidate."""
+
+    parent: CriterionScores = field(metadata={"json_key": "Parent"})
+    adult: CriterionScores = field(metadata={"json_key": "Adult"})
+    child: CriterionScores = field(metadata={"json_key": "Child"})
+
+
+#: All-zero marks for every ego state: ``select_ego`` then picks Adult.
+_ZERO_SCORES = EgoScores(*[CriterionScores(0, 0, 0, 0)] * 3)
 
 
 _WEIGHTS_SUM_FAULT = "weights must sum to 1"
@@ -180,21 +179,23 @@ def _weights_fault(weights: DecisionWeights) -> str | None:
     return None
 
 
-def select_ego(
-    scores: Mapping[EgoState, CriterionScores], weights: DecisionWeights
-) -> EgoState:
+def select_ego(scores: EgoScores, weights: DecisionWeights) -> EgoState:
     """Return the ego state with the highest weighted total.
 
-    Ties break by the fixed order Adult > Parent > Child. Pure function; the
-    same rule is used when decisions are made and when transcripts are audited.
+    Ties break by the fixed order Adult > Parent > Child (the reality-testing
+    state first). Pure function; the same rule is used when decisions are made
+    and when transcripts are audited.
     """
     fault = _weights_fault(weights)
     if fault is not None:
         raise ValueError(fault)
     best: EgoState | None = None
     best_total = float("-inf")
-    for ego in TIE_BREAK_ORDER:
-        s = scores[ego]
+    for ego, s in (
+        (EgoState.ADULT, scores.adult),
+        (EgoState.PARENT, scores.parent),
+        (EgoState.CHILD, scores.child),
+    ):
         total = (
             weights.relevance * s.relevance
             + weights.progress * s.progress
@@ -215,7 +216,7 @@ class DecisionRecord:
     raises ValueError otherwise, so every parsed transcript is re-checked.
     """
 
-    scores: Mapping[EgoState, CriterionScores]
+    scores: EgoScores
     weights: DecisionWeights
     chosen: EgoState
     rationale: str
@@ -269,6 +270,8 @@ class Utterance:
     retrieval_log: tuple[RetrievalEvent, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.chosen_ego is not self.decision.chosen:
+            raise ValueError("chosen_ego must equal the decision's chosen ego state")
         if not _covers_each_ego_once(c.ego_state for c in self.candidates):
             raise ValueError("candidates must cover all three ego states exactly once")
         chosen = next(c for c in self.candidates if c.ego_state is self.chosen_ego)
@@ -547,8 +550,7 @@ def _codec(tp: Any) -> tuple[_Reader, _Writer]:
     A reader checks a parsed JSON tree strictly and builds the value; a writer
     appends the value's canonical text at an indent level to a list of chunks,
     which the document joins once. Scalars are checked by exact type (a float
-    field also takes an int), ``tuple[X, ...]`` is an array, ``Mapping[E, X]``
-    over an enum is an object with exactly one key per member, and a dataclass
+    field also takes an int), ``tuple[X, ...]`` is an array, and a dataclass
     is an object with exactly its field keys. Enums, stored by value, and
     ``X | None``, which allows null, are record fields only: the record's own
     code reads and writes them.
@@ -562,8 +564,6 @@ def _codec(tp: Any) -> tuple[_Reader, _Writer]:
         return _record_codec(tp)
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
         return _tuple_codec(args[0])
-    if origin is collections.abc.Mapping and issubclass(args[0], Enum):
-        return _mapping_codec(args[0], args[1])
     raise TypeError(f"no JSON codec for {tp!r}")
 
 
@@ -596,36 +596,6 @@ def _tuple_codec(item: Any) -> tuple[_Reader, _Writer]:
             write_item(x, level + 1, out)
             opening = sep
         out.append(closing)
-
-    return read, write
-
-
-def _mapping_codec(key_type: type[Enum], value_type: Any) -> tuple[_Reader, _Writer]:
-    read_value, write_value = _codec(value_type)
-    keys = {m.value for m in key_type}
-    members = [(m, m.value) for m in key_type]
-    order = sorted(key_type, key=lambda m: m.value)
-    heads = _Heads("{}", [_head(m.value) for m in order])
-    get_values = operator.itemgetter(*order)
-
-    def read(node: Any) -> dict[Enum, Any]:
-        if type(node) is not dict or node.keys() != keys:
-            _check_object(node, keys, keys)
-        out = {}
-        for member, key in members:
-            try:
-                out[member] = read_value(node[key])
-            except _CodecError as e:
-                e.path.append(f".{key}")
-                raise
-        return out
-
-    def write(value: Mapping[Enum, Any], level: int, out: list[str]) -> None:
-        h = heads[level]
-        for head, item in zip(h, get_values(value)):
-            out.append(head)
-            write_value(item, level + 1, out)
-        out.append(h[-1])
 
     return read, write
 

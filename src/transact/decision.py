@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import re
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import templates
 from .core import (
@@ -18,9 +18,10 @@ from .core import (
     DecisionWeights,
     EGO_ORDER,
     EgoResponse,
+    EgoScores,
     EgoState,
+    _ZERO_SCORES,
     _covers_each_ego_once,
-    _zero_scores,
     select_ego,
 )
 from .ego_agent import render_history
@@ -72,7 +73,7 @@ def render_decision_prompt(
     return [ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, _KICKOFF)]
 
 
-def parse_scores(raw: str) -> tuple[dict[EgoState, CriterionScores], str]:
+def parse_scores(raw: str) -> tuple[EgoScores, str]:
     """Extract the three SCORES lines and the RATIONALE from a scoring reply.
 
     Out-of-range integers clamp to [0, 10] with a logged warning. A missing
@@ -98,7 +99,7 @@ def parse_scores(raw: str) -> tuple[dict[EgoState, CriterionScores], str]:
     missing = [ego.value for ego in EGO_ORDER if ego not in scores]
     if missing:
         raise MalformedDecisionError(f"missing SCORES line for {', '.join(missing)}")
-    return scores, rationale
+    return EgoScores(*(scores[ego] for ego in EGO_ORDER)), rationale
 
 
 def _clamp(value: int, ego: EgoState, criterion: str) -> int:
@@ -131,7 +132,7 @@ def decide(
     """
     caller = CallerInfo(agent=agent, role="decision", turn=turn)
     messages = render_decision_prompt(candidates, history, opening_prompt, life_script, agent)
-    scores: Mapping[EgoState, CriterionScores] | None = None
+    scores: EgoScores | None = None
     rationale = ""
     for attempt in range(2):
         raw = complete_logged(provider, messages, caller, run_log)
@@ -148,7 +149,7 @@ def decide(
                 ChatMessage(Role.USER, _RETRY_NOTE),
             ]
     if scores is None:
-        scores = _zero_scores()
+        scores = _ZERO_SCORES
         rationale = FALLBACK_RATIONALE
         logger.warning("decision fallback to Adult for %s turn %d", agent, turn)
     chosen = select_ego(scores, weights)

@@ -25,7 +25,7 @@ from .core import (
     Transcript,
     Utterance,
     Violation,
-    _zero_scores,
+    _ZERO_SCORES,
     fingerprint_scenario,
     validate_scenario,
 )
@@ -200,7 +200,7 @@ def _human_turn(
         for ego in EGO_ORDER
     )
     decision = DecisionRecord(
-        scores=_zero_scores(),
+        scores=_ZERO_SCORES,
         weights=cfg.decision_weights,
         chosen=EgoState.ADULT,
         rationale=HUMAN_RATIONALE,

@@ -6,6 +6,7 @@ exhaustive enumeration) rather than calling back into the code under test.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -20,6 +21,7 @@ from transact.core import (
     EGO_ORDER,
     EgoPersona,
     EgoResponse,
+    EgoScores,
     EgoState,
     MemoryRecord,
     ProviderId,
@@ -192,9 +194,9 @@ def make_candidates(rng: random.Random, turn: int) -> tuple[EgoResponse, ...]:
 def random_decision(rng: random.Random) -> DecisionRecord:
     from transact.core import select_ego
 
-    scores = {
-        ego: CriterionScores(*(rng.randint(0, 10) for _ in range(4))) for ego in EGO_ORDER
-    }
+    scores = EgoScores(
+        *(CriterionScores(*(rng.randint(0, 10) for _ in range(4))) for _ in EGO_ORDER)
+    )
     raw = [rng.random() + 0.01 for _ in range(4)]
     total = sum(raw)
     weights = DecisionWeights(*(w / total for w in raw))
@@ -245,6 +247,16 @@ def random_transcript(rng: random.Random, max_utterances: int = 4) -> Transcript
     )
 
 
+def assert_run_log_ends_in_failed_turn(path, turn: int) -> None:
+    """The ``.log`` of a run that failed at ``turn`` shows that turn start and
+    every earlier turn's utterance, but no utterance for ``turn``."""
+    events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    starts = [e["turn"] for e in events if e["kind"] == "turn_start"]
+    uttered = [e["turn"] for e in events if e["kind"] == "utterance"]
+    assert starts == list(range(turn + 1))
+    assert uttered == list(range(turn))
+
+
 def drop_first_score(tree: dict) -> str:
     """Remove one score from the first retrieval event that has any, so its
     hits and scores differ in length; return that event's location."""
@@ -291,9 +303,7 @@ def search_oracle(idx: MemoryIndex, query: str, k: int, embedder) -> list[tuple[
     return scored[:k]
 
 
-def select_oracle(
-    scores: dict[EgoState, CriterionScores], weights: DecisionWeights
-) -> EgoState:
+def select_oracle(scores: EgoScores, weights: DecisionWeights) -> EgoState:
     """Enumerate all three totals, find the max, then apply the tie-break."""
     w = (
         weights.relevance,
@@ -309,7 +319,7 @@ def select_oracle(
                 (s.relevance, s.progress, s.social_appropriateness, s.script_alignment),
             )
         )
-        for ego, s in scores.items()
+        for ego, s in zip(EGO_ORDER, (scores.parent, scores.adult, scores.child))
     }
     best = max(totals.values())
     for ego in (EgoState.ADULT, EgoState.PARENT, EgoState.CHILD):

@@ -34,6 +34,7 @@ from transact.core import (
     CriterionScores,
     DecisionWeights,
     EGO_ORDER,
+    EgoScores,
     EgoState,
     MemoryRecord,
     parse_scenario,
@@ -136,19 +137,19 @@ def test_criterion_4_decision_argmax():
     rng = random.Random(4)
     started = time.perf_counter()
     for case in range(1000):
-        scores = {
-            ego: CriterionScores(*(rng.randint(0, 10) for _ in range(4))) for ego in EGO_ORDER
-        }
+        scores = EgoScores(
+            *(CriterionScores(*(rng.randint(0, 10) for _ in range(4))) for _ in EGO_ORDER)
+        )
         if case % 5 == 0:  # force tie-break cases regularly
-            scores[EgoState.PARENT] = scores[EgoState.ADULT]
+            scores = dataclasses.replace(scores, parent=scores.adult)
         if case % 11 == 0:
             value = CriterionScores(*(rng.randint(0, 10),) * 4)
-            scores = {ego: value for ego in EGO_ORDER}
+            scores = EgoScores(value, value, value)
         raw = [rng.random() + 0.01 for _ in range(4)]
         total = sum(raw)
         weights = DecisionWeights(*(w / total for w in raw))
         assert select_ego(scores, weights) is select_oracle(scores, weights)
-    equal = {ego: CriterionScores(6, 6, 6, 6) for ego in EGO_ORDER}
+    equal = EgoScores(*[CriterionScores(6, 6, 6, 6)] * 3)
     for trial in range(50):
         raw = [rng.random() + 0.01 for _ in range(4)]
         total = sum(raw)

@@ -71,12 +71,16 @@ class TestEgoDistribution:
 
 
 def _decision_for(wanted: EgoState):
-    from transact.core import CriterionScores, DecisionRecord, DecisionWeights, EGO_ORDER
+    from transact.core import (
+        CriterionScores, DecisionRecord, DecisionWeights, EGO_ORDER, EgoScores,
+    )
 
-    scores = {
-        ego: CriterionScores(10, 10, 10, 10) if ego is wanted else CriterionScores(0, 0, 0, 0)
-        for ego in EGO_ORDER
-    }
+    scores = EgoScores(
+        *(
+            CriterionScores(10, 10, 10, 10) if ego is wanted else CriterionScores(0, 0, 0, 0)
+            for ego in EGO_ORDER
+        )
+    )
     return DecisionRecord(
         scores=scores, weights=DecisionWeights(), chosen=wanted, rationale="fixed", human=False
     )

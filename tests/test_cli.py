@@ -10,7 +10,12 @@ import re
 import pytest
 
 from conftest import asset_path
-from helpers import drop_first_score, make_scenario, simple_run_fixtures
+from helpers import (
+    assert_run_log_ends_in_failed_turn,
+    drop_first_score,
+    make_scenario,
+    simple_run_fixtures,
+)
 from test_acceptance import GOLDEN_RUN_SHA256
 from transact.cli import EXIT_GATE, EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, main
 from transact.core import (
@@ -44,6 +49,7 @@ def fixture_file(tmp_path, scenario_file):
 
 def run_cli(*args: str) -> int:
     return main([str(a) for a in args])
+
 
 
 def _no_run(*args, **kwargs):
@@ -245,6 +251,7 @@ class TestRun:
         partial = parse_transcript(out.read_text(encoding="utf-8"))
         assert partial.termination_reason is None
         assert len(partial.utterances) == 1
+        assert_run_log_ends_in_failed_turn(tmp_path / "partial.json.log", 1)
 
     def test_bundled_scenario_runs_from_the_command_line(self, tmp_path, capsys):
         out = tmp_path / "stupid-run.json"
@@ -301,6 +308,19 @@ class TestAnalyze:
         path = tmp_path / "mismatch.json"
         path.write_text(json.dumps(tree), encoding="utf-8")
         assert run_cli("analyze", "--transcript", path) == EXIT_INPUT
+
+    def test_chosen_ego_other_than_the_decision_is_input_error(
+        self, tmp_path, golden_transcript, capsys
+    ):
+        tree = json.loads(serialize_transcript(golden_transcript))
+        u = tree["utterances"][0]
+        parent = next(c for c in u["candidates"] if c["ego_state"] == "Parent")
+        assert u["decision"]["chosen"] != "Parent"
+        u["chosen_ego"], u["text"] = "Parent", parent["text"]
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps(tree), encoding="utf-8")
+        assert run_cli("analyze", "--transcript", path) == EXIT_INPUT
+        assert "utterances[0]: chosen_ego" in capsys.readouterr().err
 
     def test_score_too_large_for_a_float_is_input_error(self, tmp_path, golden_transcript, capsys):
         tree = json.loads(serialize_transcript(golden_transcript))

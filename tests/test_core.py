@@ -25,8 +25,8 @@ from transact.core import (
     CriterionScores,
     DecisionRecord,
     DecisionWeights,
-    EGO_ORDER,
     EgoPersona,
+    EgoScores,
     EgoState,
     MemoryRecord,
     RetrievalEvent,
@@ -127,6 +127,17 @@ class TestUtteranceInvariants:
         with pytest.raises(ValueError, match="three ego states"):
             dataclasses.replace(u, candidates=(u.candidates[0],) * 3)
 
+    def test_chosen_ego_must_be_the_decision_choice(self, golden_transcript):
+        tree = json.loads(serialize_transcript(golden_transcript))
+        u = tree["utterances"][0]
+        other = next(c for c in u["candidates"] if c["ego_state"] != u["decision"]["chosen"])
+        u["chosen_ego"], u["text"] = other["ego_state"], other["text"]
+        with pytest.raises(TranscriptFormatError) as info:
+            parse_transcript(json.dumps(tree))
+        assert str(info.value) == (
+            "utterances[0]: chosen_ego must equal the decision's chosen ego state"
+        )
+
     def test_transcript_rejects_non_alternating_speakers(self):
         rng = random.Random(3)
         t = random_transcript(rng, max_utterances=3)
@@ -213,6 +224,26 @@ class TestSerialization:
             parse_transcript(json.dumps(tree))
         assert str(info.value).startswith(f"{where}: ")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s: s.pop("Child"), "decision.scores: missing keys ['Child']"),
+            (lambda s: s.update(Grandparent={}), "decision.scores: unknown keys ['Grandparent']"),
+            (
+                lambda s: s["Adult"].update(relevance=True),
+                "decision.scores.Adult.relevance: expected an integer",
+            ),
+            (lambda s: s.update(Parent=[], Child=[]), "decision.scores.Parent: expected an object"),
+        ],
+        ids=["missing", "unknown", "bool-mark", "first-broken-member"],
+    )
+    def test_decision_scores_messages(self, golden_transcript, edit, message):
+        tree = json.loads(serialize_transcript(golden_transcript))
+        edit(tree["utterances"][0]["decision"]["scores"])
+        with pytest.raises(TranscriptFormatError) as info:
+            parse_transcript(json.dumps(tree))
+        assert str(info.value) == f"utterances[0].{message}"
+
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_decision_weight_is_a_format_error(self, golden_transcript, weight):
         tree = json.loads(serialize_transcript(golden_transcript))
@@ -252,7 +283,7 @@ def _edge_transcripts():
     while len(t.utterances) < 2:
         t = random_transcript(rng, max_utterances=3)
     u = t.utterances[0]
-    zero = {ego: CriterionScores(0, 0, 0, 0) for ego in EGO_ORDER}
+    zero = EgoScores(*[CriterionScores(0, 0, 0, 0)] * 3)
     int_weights = DecisionRecord(  # all-zero marks: Adult wins whatever the weights
         scores=zero, weights=DecisionWeights(1, 0, 0, 0), chosen=EgoState.ADULT, rationale=ODD_TEXT
     )

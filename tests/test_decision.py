@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from transact.core import (
     DecisionWeights,
     EGO_ORDER,
     EgoResponse,
+    EgoScores,
     EgoState,
     select_ego,
 )
@@ -86,7 +88,7 @@ class TestParseScores:
             "RATIONALE: the adult moves things forward"
         )
         scores, rationale = parse_scores(raw)
-        assert scores[EgoState.ADULT] == CriterionScores(8, 8, 7, 4)
+        assert scores.adult == CriterionScores(8, 8, 7, 4)
         assert rationale == "the adult moves things forward"
 
     def test_out_of_range_values_clamp_with_warning(self, caplog):
@@ -98,8 +100,8 @@ class TestParseScores:
         )
         with caplog.at_level("WARNING"):
             scores, _ = parse_scores(raw)
-        assert scores[EgoState.PARENT].relevance == 10
-        assert scores[EgoState.PARENT].social_appropriateness == 0
+        assert scores.parent.relevance == 10
+        assert scores.parent.social_appropriateness == 0
         assert any("clamped" in r.message for r in caplog.records)
 
     def test_missing_ego_line_is_malformed(self):
@@ -127,15 +129,11 @@ class TestParseScores:
             "RATIONALE: r"
         )
         scores, _ = parse_scores(raw)
-        assert scores[EgoState.PARENT] == CriterionScores(1, 1, 1, 1)
+        assert scores.parent == CriterionScores(1, 1, 1, 1)
 
 
-def table(parent, adult, child) -> dict[EgoState, CriterionScores]:
-    return {
-        EgoState.PARENT: CriterionScores(*parent),
-        EgoState.ADULT: CriterionScores(*adult),
-        EgoState.CHILD: CriterionScores(*child),
-    }
+def table(parent, adult, child) -> EgoScores:
+    return EgoScores(CriterionScores(*parent), CriterionScores(*adult), CriterionScores(*child))
 
 
 EQUAL = DecisionWeights()
@@ -158,12 +156,11 @@ class TestSelect:
     def test_matches_brute_force_enumerator_on_random_tables(self):
         rng = random.Random(17)
         for _ in range(1000):
-            scores = {
-                ego: CriterionScores(*(rng.randint(0, 10) for _ in range(4)))
-                for ego in EGO_ORDER
-            }
+            scores = EgoScores(
+                *(CriterionScores(*(rng.randint(0, 10) for _ in range(4))) for _ in EGO_ORDER)
+            )
             if rng.random() < 0.2:  # force exact ties regularly
-                scores[EgoState.PARENT] = scores[EgoState.CHILD]
+                scores = dataclasses.replace(scores, parent=scores.child)
             raw = [rng.random() + 0.01 for _ in range(4)]
             total = sum(raw)
             weights = DecisionWeights(*(w / total for w in raw))
@@ -202,7 +199,7 @@ class TestSelect:
                 raise AssertionError
 
             reference = select_ego(
-                {ego: CriterionScores(*base[ego]) for ego in EGO_ORDER}, weights
+                EgoScores(*(CriterionScores(*base[ego]) for ego in EGO_ORDER)), weights
             )
             for scale in (0.5, 1.0, 2.0, 4.0, 8.0):
                 assert pick(scale) is reference
@@ -266,5 +263,5 @@ class TestDecide:
             )
         assert record.chosen is EgoState.ADULT
         assert record.rationale == FALLBACK_RATIONALE
-        assert all(s == CriterionScores(0, 0, 0, 0) for s in record.scores.values())
+        assert record.scores == EgoScores(*[CriterionScores(0, 0, 0, 0)] * 3)
         assert any("fallback" in r.message for r in caplog.records)

@@ -22,6 +22,7 @@ from collections import Counter, deque
 import pytest
 
 from conftest import asset_path
+from helpers import assert_run_log_ends_in_failed_turn
 from test_acceptance import GOLDEN_RUN_SHA256
 from transact.cli import EXIT_RUNTIME, main
 from transact.core import parse_transcript, transcript_hash
@@ -211,3 +212,4 @@ def test_cli_http_run_that_fails_exits_3_and_writes_the_partial_transcript(
     partial = parse_transcript(out.read_text(encoding="utf-8"))
     assert partial.termination_reason is None
     assert partial.utterances == golden_transcript.utterances[:FAILED_TURN]
+    assert_run_log_ends_in_failed_turn(tmp_path / "partial.json.log", FAILED_TURN)
