@@ -7,26 +7,43 @@ use exactly rounded summation (``math.fsum``), so scores are bit-identical
 across platforms and independent of accumulation order; that keeps canonical
 transcripts byte-stable everywhere.
 
-One batch scorer, ``_scores``, computes every cosine, for a whole partition in
-a search and for one pair in ``cosine_similarity``. It walks the query's
-``support``: the indices of its non-zero entries with their values, or, when
-more than half of the entries are non-zero, the whole vector as it is. Each
-entry's values at those indices come from one ``operator.itemgetter`` call,
-and the dot product, the division by the two norms and the clamp are chained
-``map`` calls over the entries' value tuples and norms, which the index
-collects once at construction. So scoring a partition runs no Python
-bytecode per entry.
+A query whose ``support`` (the indices of its non-zero entries, with their
+values) leaves out some index is scored one dimension at a time, through the
+index's postings: for each dimension, the positions of the entries whose
+support includes it and their values there. For each query dimension ``d``,
+the products ``q_d * v`` of its postings are scattered into a fresh all-0.0
+column of one slot per entry, and an entry's dot product is the ``fsum`` of
+its row across the columns (``zip(*columns)``). So only non-zero pairs are
+multiplied: Python bytecode runs once per posting the query reaches, and the
+per-entry sums run in C. A hash-embedded query fills a handful of its 256
+buckets, and each posting list is short.
 
-That is bit-identical to the dense sum. Every product left out has a zero
-factor in the query; a product kept whose entry value is zero is +0.0 or
--0.0; ``math.fsum`` is exactly rounded and keeps no zero term, so the sum of
-the remaining products is unchanged, and a sum with no non-zero term is +0.0
-either way. Float multiplication is commutative, so which vector's support
-is walked does not change a product. Hash-embedded queries have a handful of
-non-zero buckets, so a score costs a few multiplications instead of one per
-dimension; a dense query is walked in full, with no index list and no copy.
+The bits are those of the dense definition, the ``fsum`` of all ``q_i * e_i``.
+``math.fsum`` is exactly rounded, so the order of the terms does not matter,
+and it keeps no zero term, +0.0 or -0.0, so neither do the products left out,
+each of which has a zero factor, nor the 0.0 slots of the columns. Every other
+product is the same multiplication. A sum with no non-zero term is +0.0, so an
+entry that shares no dimension with the query scores +0.0.
 
-Indices are immutable after build; concurrent searches need no locking.
+A query whose support covers every index, as a real embedding model's output
+does, is walked row by row instead: each entry's values against the query's,
+in chained C-level ``map`` calls. A partition that only dense queries reach
+never builds its postings.
+
+Rounding can put a cosine just outside [-1, 1]: the raw self-cosine of
+(1, 1, 1) is 1.0000000000000002. Every norm is checked finite and non-zero, so
+no score is NaN, and the clamp ``min(1.0, max(-1.0, x))`` leaves every score
+in [-1, 1] as it is; it runs only when the least or the greatest score is
+outside.
+
+The top k are ranked by the keys (-score, id, position), as a full sort of
+every entry would rank them. The k-th best score is found first, and only the
+entries scoring at least that, ties included, get a key.
+
+An index's entries never change after build. Its postings and record ids are
+built on first use by ``cached_property``, each a pure function of the
+entries, so two threads that race on a first search build equal copies and
+either serves. Nothing else is written, so concurrent searches need no lock.
 """
 
 from __future__ import annotations
@@ -36,8 +53,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count, repeat
-from typing import Iterable, Iterator, Protocol, Sequence
+from itertools import compress, repeat
+from typing import Iterable, Protocol, Sequence
 
 from .core import EgoState, MemoryRecord
 
@@ -57,6 +74,19 @@ class EmbeddingVector:
         # sum is not, which finite entries whose sum overflows also pass.
         if not math.isfinite(sum(self.values)) and not all(map(math.isfinite, self.values)):
             raise MemoryIndexError("embedding entries must all be finite")
+
+    @classmethod
+    def sparse(cls, dim: int, indices: Sequence[int], values: Sequence[float]) -> EmbeddingVector:
+        """The vector of ``dim`` entries that holds ``values`` at the ascending
+        ``indices`` and 0.0 elsewhere, with the support taken as given rather
+        than found by a scan of every entry."""
+        full = [0.0] * dim  # one shared 0.0 object, not a new float per entry
+        for i, v in zip(indices, values):
+            full[i] = v
+        vec = cls(tuple(full))
+        if 2 * len(indices) <= dim:  # otherwise ``support`` keeps the whole vector
+            vec.__dict__["support"] = (list(indices), list(values))
+        return vec
 
     @property
     def dim(self) -> int:
@@ -80,7 +110,10 @@ class EmbeddingVector:
     @cached_property
     def norm(self) -> float:
         values = self.support[1]
-        return math.sqrt(math.fsum(map(operator.mul, values, values)))
+        try:
+            return math.sqrt(math.fsum(map(operator.mul, values, values)))
+        except OverflowError:  # the squares' exact sum is beyond the float range
+            return math.inf
 
 
 class Embedder(Protocol):
@@ -92,36 +125,42 @@ class Embedder(Protocol):
     def embed(self, text: str) -> EmbeddingVector: ...
 
 
-def _scores(
-    q: EmbeddingVector, values: Iterable[Sequence[float]], norms: Iterable[float]
-) -> Iterator[float]:
-    """Clamped dot(q, e) / (|q| * |e|) for each checked entry e, given by its
-    values and norm, walking the support of the checked query q."""
-    indices, q_values = q.support
-    if len(indices) == q.dim:
-        picked = values  # a support that covers every index is the whole vector
-    elif len(indices) == 1:
-        # itemgetter with one index returns a scalar; a one-item slice, a tuple.
-        picked = map(operator.itemgetter(slice(indices[0], indices[0] + 1)), values)
-    else:
-        picked = map(operator.itemgetter(*indices), values)
-    dots = map(math.fsum, map(map, repeat(operator.mul), repeat(q_values), picked))
-    cosines = map(operator.truediv, dots, map(operator.mul, repeat(q.norm), norms))
-    return map(min, repeat(1.0), map(max, repeat(-1.0), cosines))
+def _norm_fault(vec: EmbeddingVector) -> str | None:
+    """Why a cosine with ``vec`` is undefined, or None if it is defined."""
+    if vec.norm == 0.0:
+        return "a zero-norm vector"
+    if vec.norm == math.inf:
+        return "a vector whose norm is not finite"
+    return None
+
+
+def _row_dots(q: EmbeddingVector, rows: Iterable[Sequence[float]]) -> Iterable[float]:
+    """dot(q, e) for each entry e given by all its values."""
+    return map(math.fsum, map(map, repeat(operator.mul), repeat(q.values), rows))
+
+
+def _cosines(q: EmbeddingVector, dots: Iterable[float], norms: Iterable[float]) -> list[float]:
+    """Each dot(q, e) / (|q| * |e|), clamped to [-1, 1] against float rounding."""
+    scores = list(map(operator.truediv, dots, map(operator.mul, repeat(q.norm), norms)))
+    if scores and (min(scores) < -1.0 or max(scores) > 1.0):
+        return [min(1.0, max(-1.0, s)) for s in scores]
+    return scores
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """dot(a, b) / (|a| * |b|), clamped to [-1, 1] against float rounding."""
     if a.dim != b.dim:
         raise MemoryIndexError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.norm == 0.0 or b.norm == 0.0:
-        raise MemoryIndexError("cosine similarity is undefined for a zero-norm vector")
-    return next(_scores(a, (b.values,), (b.norm,)))
+    fault = _norm_fault(a) or _norm_fault(b)
+    if fault:
+        raise MemoryIndexError(f"cosine similarity is undefined for {fault}")
+    return _cosines(a, _row_dots(a, (b.values,)), (b.norm,))[0]
 
 
 def _check_entry(rec: MemoryRecord, vec: EmbeddingVector, dim: int) -> None:
-    if vec.norm == 0.0:
-        raise MemoryIndexError(f"record {rec.id!r} embedded to a zero-norm vector")
+    fault = _norm_fault(vec)
+    if fault:
+        raise MemoryIndexError(f"record {rec.id!r} embedded to {fault}")
     if vec.dim != dim:
         raise MemoryIndexError(f"record {rec.id!r} embedded to dim {vec.dim}, index dim is {dim}")
 
@@ -134,7 +173,8 @@ class MemoryIndex:
     ego_state: EgoState
     entries: tuple[tuple[MemoryRecord, EmbeddingVector], ...]
     dim: int
-    # What a search reads of each entry, collected once for the batch scorer.
+    # What a search reads of each entry: the values for a dense query's row
+    # walk, and the norms for every cosine.
     _values: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
     _norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
@@ -152,6 +192,38 @@ class MemoryIndex:
     def record_ids(self) -> tuple[str, ...]:
         return tuple(rec.id for rec, _ in self.entries)
 
+    @cached_property
+    def _postings(self) -> dict[int, tuple[list[int], list[float]]]:
+        """For each dimension in some entry's support, the ascending positions
+        of the entries whose support includes it, and their values there."""
+        postings: dict[int, tuple[list[int], list[float]]] = {}
+        # A plain loop: it measured faster than C-level chains and a sort by dimension.
+        for i, (_, vec) in enumerate(self.entries):
+            for d, v in zip(*vec.support):
+                if d in postings:
+                    positions, values = postings[d]
+                    positions.append(i)
+                    values.append(v)
+                else:
+                    postings[d] = ([i], [v])
+        return postings
+
+    def _sparse_dots(self, q: EmbeddingVector) -> Iterable[float]:
+        """dot(q, e) for each entry e, multiplying only pairs the query's
+        support and the postings share."""
+        n = len(self.entries)
+        columns = []
+        postings = self._postings
+        for d, q_d in zip(*q.support):
+            if d in postings:
+                positions, values = postings[d]
+                column = [0.0] * n
+                # A plain loop: it measured faster than a C-level map of setitem.
+                for i, v in zip(positions, values):
+                    column[i] = q_d * v
+                columns.append(column)
+        return map(math.fsum, zip(*columns)) if columns else [0.0] * n
+
 
 def build_index(
     records: Sequence[MemoryRecord],
@@ -163,8 +235,8 @@ def build_index(
     """Embed every record's context field and assemble the partition index.
 
     Only ``context`` is embedded; reaction/emotions/tone ride along as payload.
-    Rejects records from another partition and embeddings that are zero-norm
-    or of inconsistent dimension.
+    Rejects records from another partition, embeddings whose norm is zero or
+    not finite, and embeddings of inconsistent dimension.
     """
     entries: list[tuple[MemoryRecord, EmbeddingVector]] = []
     for rec in records:
@@ -191,8 +263,7 @@ def search_top_k(
 
     Returns min(k, len(idx)) results in descending score order; equal scores
     break by ascending record id. Matches a naive score-all-and-fully-sort
-    oracle element for element: ``heapq.nsmallest(k, items)`` is documented
-    to equal ``sorted(items)[:k]``, and every score is bit-identical to
+    oracle element for element, and every score is bit-identical to
     ``cosine_similarity(query, entry)``.
     """
     if k < 1:
@@ -202,10 +273,15 @@ def search_top_k(
     q = embedder.embed(query)
     if q.dim != idx.dim:
         raise MemoryIndexError(f"query embedded to dim {q.dim}, index dim is {idx.dim}")
-    if q.norm == 0.0:
-        raise MemoryIndexError("query embedded to a zero-norm vector")
-    scores = list(_scores(q, idx._values, idx._norms))
-    # Keys (-score, id, position): the position breaks ties of equal ids, so
-    # records are never compared, and keeps the order a stable sort gives.
-    ranked = heapq.nsmallest(k, zip(map(operator.neg, scores), idx.record_ids, count()))
-    return [(idx.entries[i][0], scores[i]) for _, _, i in ranked]
+    fault = _norm_fault(q)
+    if fault:
+        raise MemoryIndexError(f"query embedded to {fault}")
+    dense = len(q.support[0]) == q.dim
+    dots = _row_dots(q, idx._values) if dense else idx._sparse_dots(q)
+    scores = _cosines(q, dots, idx._norms)
+    # The position breaks ties of equal ids, so records are never compared, and
+    # keeps the order a stable sort gives.
+    kth = heapq.nlargest(k, scores)[-1]
+    ids = idx.record_ids
+    ranked = sorted([(-s, ids[i], i) for i, s in enumerate(scores) if s >= kth])
+    return [(idx.entries[i][0], scores[i]) for _, _, i in ranked[:k]]

@@ -53,7 +53,8 @@ class InvalidScenarioError(ValueError):
 
 
 class SimulationError(RuntimeError):
-    """A turn failed mid-run; carries the partial transcript (no termination reason)."""
+    """The index build or a turn failed; carries the partial transcript (no
+    termination reason), with no utterance if the build failed."""
 
     def __init__(self, message: str, transcript: Transcript, cause: Exception) -> None:
         super().__init__(message)
@@ -233,8 +234,8 @@ def run_simulation(
 
     Stops at max_turns (MaxTurns) or when the provider layer raises
     ProviderStopSignal (ProviderStop, e.g. end of interactive input). Any
-    other mid-run failure raises SimulationError carrying the partial
-    transcript with no termination reason.
+    other failure, in the index build or in a turn, raises SimulationError
+    carrying the partial transcript with no termination reason.
     """
     violations = validate_scenario(cfg)
     if violations:
@@ -267,7 +268,10 @@ def run_simulation(
         if provider.kind == "http"
         else nullcontext()
     ) as pool:
-        indices = build_indices(cfg, embedder, pool)
+        try:
+            indices = build_indices(cfg, embedder, pool)
+        except Exception as e:
+            raise SimulationError(f"index build failed: {e}", snapshot(None), e) from e
         while len(utterances) < cfg.max_turns:
             turn = len(utterances)
             speaker = _speaker_at(cfg, turn)

@@ -501,9 +501,10 @@ class HashEmbedder:
 
     Only the buckets a text fills are counted and normalized: the norm is the
     ``fsum`` of the non-zero squares, the same exactly rounded sum as over all
-    ``dim`` squares, since the others are +0.0. Each embedder remembers the
-    bucket of up to ``_BUCKET_MEMO_SIZE`` tokens, so a new embedder, as each
-    ``transact run`` makes, starts with none.
+    ``dim`` squares, since the others are +0.0. The filled buckets become the
+    vector's support as they are, with no scan of all ``dim`` entries. Each
+    embedder remembers the bucket of up to ``_BUCKET_MEMO_SIZE`` tokens, so a
+    new embedder, as each ``transact run`` makes, starts with none.
     """
 
     def __init__(self, dim: int = HASH_EMBED_DIM) -> None:
@@ -522,11 +523,8 @@ class HashEmbedder:
             raise ValueError(f"cannot hash-embed text with no alphanumeric tokens: {text!r}")
         counts = Counter(map(self.bucket, tokens))
         norm = math.sqrt(math.fsum(map(operator.mul, counts.values(), counts.values())))
-        # One shared 0.0 object for the empty buckets, not a new float per bucket.
-        values = [0.0] * self.dim
-        for b, c in counts.items():
-            values[b] = c / norm
-        return EmbeddingVector(tuple(values))
+        buckets = sorted(counts)
+        return EmbeddingVector.sparse(self.dim, buckets, [counts[b] / norm for b in buckets])
 
 
 class RemoteEmbedder:

@@ -253,6 +253,24 @@ class TestRun:
         assert len(partial.utterances) == 1
         assert_run_log_ends_in_failed_turn(tmp_path / "partial.json.log", 1)
 
+    def test_failed_index_build_still_writes_the_transcript_and_log(self, tmp_path, capsys):
+        # "..." has no token to hash-embed, so the first partition's build fails.
+        tree = json.loads(asset_path("stupid.json").read_text(encoding="utf-8"))
+        tree["agents"][0]["personas"][0]["memories"][0]["context"] = "..."
+        scenario = tmp_path / "no-tokens.json"
+        scenario.write_text(json.dumps(tree), encoding="utf-8")
+        out = tmp_path / "partial.json"
+        fixtures = asset_path("stupid_fixtures.json")
+        code = run_cli("run", "--scenario", scenario, "--fixtures", fixtures, "--out", out)
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "index build failed: embedding failed for record 'jordan-parent-01'" in err
+        assert f"partial transcript written to {out}" in err
+        partial = parse_transcript(out.read_text(encoding="utf-8"))
+        assert partial.utterances == ()
+        assert partial.termination_reason is None
+        assert (tmp_path / "partial.json.log").read_text(encoding="utf-8") == ""
+
     def test_bundled_scenario_runs_from_the_command_line(self, tmp_path, capsys):
         out = tmp_path / "stupid-run.json"
         code = run_cli(

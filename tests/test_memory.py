@@ -72,6 +72,21 @@ class TestCosine:
         assert math.isinf(sum((1e308, 1e308)))
         assert EmbeddingVector((1e308, 1e308)).values == (1e308, 1e308)
 
+    @pytest.mark.parametrize("values", [(1e200, 1e200), (1.2e154, -1.2e154)])
+    def test_vector_whose_norm_overflows_rejected(self, values):
+        # The squares overflow in the first; their exact sum, in the second.
+        big = vec(*values)
+        assert big.norm == math.inf
+        for a, b in ((big, big), (big, vec(1, 0)), (vec(1, 0), big)):
+            with pytest.raises(MemoryIndexError, match="norm is not finite"):
+                cosine_similarity(a, b)
+
+    def test_self_cosine_rounding_above_one_is_clamped(self):
+        v = vec(1, 1, 1)
+        raw = math.fsum([1.0, 1.0, 1.0]) / (math.sqrt(3.0) * math.sqrt(3.0))
+        assert raw == 1.0000000000000002
+        assert cosine_similarity(v, v).hex() == (1.0).hex() == cosine_oracle(v.values, v.values).hex()
+
     def test_all_zero_products_score_positive_zero(self):
         # Every dense product is +0.0 or -0.0; fsum of them is +0.0, and so is
         # the sum over an empty shared support.
@@ -101,6 +116,15 @@ class TestCosine:
         dense = vec(1, 2, 0, 3)
         assert dense.support == (range(4), dense.values)
         assert dense.support[1] is dense.values
+
+    def test_sparse_constructor_equals_the_scanned_vector(self):
+        given = EmbeddingVector.sparse(6, [1, 4], [2.0, -5.0])
+        scanned = vec(0, 2, 0, 0, -5, 0)
+        assert given == scanned
+        assert given.support == scanned.support == ([1, 4], [2.0, -5.0])
+        # More than half of the entries filled: the whole vector, as a scan keeps it.
+        dense = EmbeddingVector.sparse(3, [0, 2], [1.0, 2.0])
+        assert dense.support == (range(3), dense.values) == vec(1, 0, 2).support
 
 
 class TestBuildIndex:
@@ -148,6 +172,21 @@ class TestBuildIndex:
                 agent="X",
                 ego_state=EgoState.CHILD,
                 entries=((ok, vec(0, 1)), (zero, vec(0, -0.0))),
+                dim=2,
+            )
+
+    def test_index_rejects_an_entry_whose_norm_overflows(self):
+        ok = make_record("ok", EgoState.CHILD, context="ok")
+        huge = make_record("huge", EgoState.CHILD, context="huge")
+        embedder = FixedEmbedder({"ok": (0.0, 1.0), "huge": (1e200, 1e200)}, dim=2)
+        match = "'huge' embedded to a vector whose norm is not finite"
+        with pytest.raises(MemoryIndexError, match=match):
+            build_index([ok, huge], embedder, agent="X", ego_state=EgoState.CHILD)
+        with pytest.raises(MemoryIndexError, match=match):
+            MemoryIndex(
+                agent="X",
+                ego_state=EgoState.CHILD,
+                entries=((ok, vec(0, 1)), (huge, vec(1e200, 1e200))),
                 dim=2,
             )
 
@@ -320,30 +359,106 @@ class TestSearchTopK:
         hits = search_top_k(idx, "q", 3, embedder)
         assert [rec.id for rec, _ in hits] == ["mm", "aa", "zz"]
 
+    def test_query_whose_norm_overflows_rejected(self):
+        embedder = FixedEmbedder({"huge": (1e200, 0.0, 1e200)})
+        idx = build_index(
+            [make_record("r", EgoState.ADULT, context="r")], embedder, agent="X",
+            ego_state=EgoState.ADULT,
+        )
+        with pytest.raises(MemoryIndexError, match="query embedded to a vector whose norm is not finite"):
+            search_top_k(idx, "huge", 1, embedder)
+
+    def test_self_cosine_rounding_above_one_is_clamped(self):
+        # Raw, (1, 1, 1) against itself is 1.0000000000000002; clamped, it ties
+        # with (0, 0, 1), whose raw cosine with itself is exactly 1.0.
+        embedder = FixedEmbedder({"ones": (1.0, 1.0, 1.0), "unit": (0.0, 0.0, 1.0)})
+        records = [
+            make_record("b-ones", EgoState.ADULT, context="ones"),
+            make_record("a-ones", EgoState.ADULT, context="ones"),
+            make_record("unit", EgoState.ADULT, context="unit"),
+        ]
+        idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
+        hits = search_top_k(idx, "ones", 3, embedder)
+        assert [(rec.id, s.hex()) for rec, s in hits[:2]] == [
+            ("a-ones", (1.0).hex()), ("b-ones", (1.0).hex())
+        ]
+        assert_bit_identical_to_oracle(idx, "ones", 3, embedder)
+
+    def test_entries_sharing_no_dimension_fill_the_tail_in_id_order(self):
+        # Two of six entries share a dimension with the query, so k = 5 takes
+        # three of the four others, each scoring +0.0, in ascending id order
+        # whatever their position.
+        table = {
+            "q": (0.0, 2.0, 0.0, 0.0, 1.0, 0.0),
+            "hit-a": (0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+            "hit-b": (3.0, 0.0, 0.0, 0.0, 1.0, 0.0),
+            "miss-1": (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            "miss-2": (0.0, 0.0, -4.0, 0.0, 0.0, 0.0),
+            "miss-3": (0.0, 0.0, 0.0, 1.0, 0.0, 2.0),
+            "miss-4": (1.0, 0.0, 1.0, 1.0, 0.0, 1.0),
+        }
+        embedder = FixedEmbedder(table, dim=6)
+        ids = ["m4", "h-b", "m2", "m9", "h-a", "m1"]
+        contexts = ["miss-4", "hit-b", "miss-2", "miss-3", "hit-a", "miss-1"]
+        records = [make_record(i, EgoState.ADULT, context=c) for i, c in zip(ids, contexts)]
+        idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
+        hits = search_top_k(idx, "q", 5, embedder)
+        assert [rec.id for rec, _ in hits] == ["h-a", "h-b", "m1", "m2", "m4"]
+        assert all(s > 0.0 for _, s in hits[:2])
+        assert all(s == 0.0 and math.copysign(1.0, s) == 1.0 for _, s in hits[2:])
+        assert_bit_identical_to_oracle(idx, "q", 5, embedder)
+
+    def test_query_sharing_no_dimension_with_any_entry_scores_all_positive_zero(self):
+        embedder = FixedEmbedder({"q": (0.0, 0.0, 1.0, 0.0), "e": (1.0, 0.0, 0.0, 0.0)}, dim=4)
+        records = [make_record(f"r{i}", EgoState.ADULT, context="e") for i in (3, 1, 2)]
+        idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
+        hits = search_top_k(idx, "q", 2, embedder)
+        assert [rec.id for rec, _ in hits] == ["r1", "r2"]
+        assert [s.hex() for _, s in hits] == [(0.0).hex()] * 2
+
     def test_k_must_be_positive(self):
         idx = build_index([], HashEmbedder(), agent="X", ego_state=EgoState.ADULT)
         with pytest.raises(ValueError):
             search_top_k(idx, "q", 0, HashEmbedder())
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_search_equals_oracle_property(data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    embedder = HashEmbedder(16)
     n = data.draw(st.integers(1, 25))
-    records = [
-        make_record(f"r{i:02d}", EgoState.ADULT, context=" ".join(rng.sample(WORDS, rng.randint(1, 4))))
-        for i in range(n)
-    ]
-    idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
-    query = " ".join(rng.sample(WORDS, rng.randint(1, 3)))
     k = data.draw(st.integers(1, 30))
-    got = search_top_k(idx, query, k, embedder)
-    want = search_oracle(idx, query, k, embedder)
-    assert [rec.id for rec, _ in got] == [rid for rid, _ in want]
-    assert len(got) == min(k, n)
+    if data.draw(st.booleans()):
+        embedder = HashEmbedder(16)
+        contexts = [" ".join(rng.sample(WORDS, rng.randint(1, 4))) for _ in range(n)]
+        query = " ".join(rng.sample(WORDS, rng.randint(1, 3)))
+    else:
+        # Fixed vectors, sparse or dense, so a query of either kind scores both
+        # kinds; few distinct entry values, so equal scores are common.
+        dim = data.draw(st.integers(1, 12))
 
+        def draw() -> tuple[float, ...]:
+            density = rng.choice((0.1, 0.3, 0.6, 1.0))
+            while True:
+                v = tuple(
+                    rng.choice((-2.0, -0.5, 0.5, 1.0, 3.0, rng.gauss(0.0, 1.0)))
+                    if rng.random() < density
+                    else 0.0
+                    for _ in range(dim)
+                )
+                if any(v):
+                    return v
+
+        table = {f"t{i}": draw() for i in range(rng.randint(1, n) + 1)}
+        embedder = FixedEmbedder(table, dim=dim)
+        contexts = [rng.choice(list(table)) for _ in range(n)]
+        query = rng.choice(list(table))
+    # Ids out of position order, so ties are broken by id, not by position.
+    ids = [f"r{i:02d}" for i in rng.sample(range(100), n)]
+    records = [make_record(i, EgoState.ADULT, context=c) for i, c in zip(ids, contexts)]
+    idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
+    assert_bit_identical_to_oracle(idx, query, k, embedder)
+    assert len(search_top_k(idx, query, k, embedder)) == min(k, n)
 
 
 class TestBatchScorer:

@@ -13,6 +13,8 @@ from transact.core import (
     EgoState,
     TerminationReason,
     fingerprint_scenario,
+    parse_transcript,
+    serialize_transcript,
     transcript_hash,
     validate_scenario,
 )
@@ -172,8 +174,14 @@ class TestRunSimulation:
             + cfg.agents[1:],
         )
         provider = ScriptedProvider([])
-        with pytest.raises(MemoryIndexError):
+        with pytest.raises(SimulationError, match="index build failed: .*no alphanumeric") as err:
             run_simulation(cfg, provider, HashEmbedder())
+        assert isinstance(err.value.__cause__, MemoryIndexError)
+        assert err.value.cause is err.value.__cause__
+        partial = err.value.transcript
+        assert partial.utterances == ()
+        assert partial.termination_reason is None
+        assert parse_transcript(serialize_transcript(partial)) == partial
         assert provider.call_log == []
 
     def test_provider_stop_signal_ends_run_cleanly(self):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import WORDS, hash_embed_oracle
-from transact.memory import cosine_similarity
+from transact.memory import EmbeddingVector, cosine_similarity
 from transact.provider import (
     _BUCKET_MEMO_SIZE,
     CallerInfo,
@@ -222,7 +222,10 @@ class TestHashEmbedderMatchesDenseReference:
             with pytest.raises(ValueError, match="no alphanumeric tokens"):
                 HashEmbedder(dim).embed(text)
             return
-        assert hex_values(HashEmbedder(dim).embed(text).values) == hex_values(want)
+        got = HashEmbedder(dim).embed(text)
+        assert hex_values(got.values) == hex_values(want)
+        # The support the embedder hands over is the one a scan would find.
+        assert got.support == EmbeddingVector(got.values).support
 
     @pytest.mark.parametrize("dim, text", [(1, "anything at all"), (2, "report mistake report")])
     def test_tiny_dims_give_the_dense_support_form(self, dim, text):
