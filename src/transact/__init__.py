@@ -46,25 +46,7 @@ from .core import (
     transcript_hash,
     validate_scenario,
 )
-from .decision import parse_scores, render_decision_prompt
-from .ego_agent import (
-    EgoTurnContext,
-    FinalAnswer,
-    MalformedStepError,
-    ReactStep,
-    SearchMemories,
-    format_observation,
-    parse_react_step,
-    run_ego_turn,
-)
-from .memory import (
-    EmbeddingVector,
-    MemoryIndex,
-    MemoryIndexError,
-    build_index,
-    cosine_similarity,
-    search_top_k,
-)
+from .memory import EmbeddingVector, MemoryIndex, MemoryIndexError, cosine_similarity
 from .orchestrator import (
     InvalidScenarioError,
     SimulationError,

@@ -119,12 +119,6 @@ class BudgetViolation:
     ego_state: EgoState
     searches_performed: int
 
-    def __str__(self) -> str:
-        return (
-            f"turn {self.turn}, {self.speaker}/{self.ego_state.value}: "
-            f"{self.searches_performed} searches"
-        )
-
 
 def audit_budgets(t: Transcript, budget: int) -> list[BudgetViolation]:
     """Empty iff every candidate stayed within the search budget."""

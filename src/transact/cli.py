@@ -52,6 +52,9 @@ BASE_URL_ENV = "TRANSACT_BASE_URL"
 MODEL_ENV = "TRANSACT_MODEL"
 EMBEDDER_ENV = "TRANSACT_EMBEDDER"
 TIMEOUT_ENV = "TRANSACT_TIMEOUT_MS"
+#: The longest request timeout in ms, about 24.8 days: a socket cannot wait
+#: much over 9e9 s, and a larger value fails only at the first request.
+MAX_TIMEOUT_MS = 2**31 - 1
 
 #: The search budget ``analyze`` audits against without --budget or --scenario.
 DEFAULT_AUDIT_BUDGET = 5
@@ -84,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run ego-state conversation simulations and analyze their transcripts.",
     )
     parser.add_argument("--verbose", action="store_true", help="debug logging")
-    parser.set_defaults(out=None)
+    parser.set_defaults(out=None, play_as=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     run = sub.add_parser("run", help="run a scenario and write its transcript")
@@ -95,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(interactive)
     interactive.add_argument("--as", dest="play_as", required=True, metavar="AGENT",
                              help="scenario agent played from the terminal")
-    interactive.set_defaults(handler=cmd_interactive)
+    interactive.set_defaults(handler=cmd_run)
 
     validate = sub.add_parser("validate", help="check a scenario file")
     validate.add_argument("--scenario", required=True)
@@ -189,14 +192,18 @@ def _build_backend(args: argparse.Namespace):
 
 
 def _timeout_ms() -> int:
-    """The request timeout in ms, a positive integer: zero makes a socket non-blocking."""
+    """The request timeout in ms, an integer from 1 to ``MAX_TIMEOUT_MS``: zero
+    makes a socket non-blocking."""
     raw = os.environ.get(TIMEOUT_ENV, str(ProviderConfig.timeout_ms))
     try:
         value = int(raw)
     except ValueError:
         value = 0
-    if value < 1:
-        raise CliInputError(f"{TIMEOUT_ENV} must be a positive integer (ms), got {raw!r}")
+    if not 1 <= value <= MAX_TIMEOUT_MS:
+        raise CliInputError(
+            f"{TIMEOUT_ENV} must be a positive integer (ms) of at most {MAX_TIMEOUT_MS}, "
+            f"got {raw!r}"
+        )
     return value
 
 
@@ -229,63 +236,42 @@ def _write_out(t: Transcript, args: argparse.Namespace, run_log: RunLog) -> byte
     return data
 
 
-def _simulate(
-    args: argparse.Namespace, run_log: RunLog, cfg: ScenarioConfig, provider, embedder, **options
-) -> Transcript:
-    """``run_simulation``; a failed run writes its partial transcript and run log."""
+def cmd_run(args: argparse.Namespace) -> int:
+    """``run``, or ``interactive`` when ``--as`` names the agent typed at the
+    terminal: then each other utterance is shown as it arrives. A failed run
+    writes its partial transcript and run log."""
+    cfg = _load_scenario(args)
+    human = args.play_as
+    if human is not None and human not in {a.name for a in cfg.agents}:
+        raise CliInputError(f"--as {human!r} does not name a scenario agent")
+    provider, embedder = _build_backend(args)
+    _check_out(args, log=True)
+    run_log = RunLog()
+    if human is not None:
+        print(f"You are {human}. Situation: {cfg.opening_prompt}")
+        print("Type your lines; Ctrl-D ends the conversation.")
+
+    def show(u: Utterance) -> None:
+        if u.speaker != human:
+            print(_summary_line(u))
+
     try:
-        return run_simulation(cfg, provider, embedder, run_log=run_log, **options)
+        transcript = run_simulation(
+            cfg, provider, embedder, run_log=run_log, human_agent=human, input_fn=input,
+            on_utterance=show if human is not None else None,
+        )
     except SimulationError as e:
         if args.out:
             _write_out(e.transcript, args, run_log)
             print(f"partial transcript written to {args.out}", file=sys.stderr)
         raise
-
-
-def _finish_run(t: Transcript, args: argparse.Namespace, run_log: RunLog) -> None:
-    data = _write_out(t, args, run_log)
+    if human is None:
+        for u in transcript.utterances:
+            print(_summary_line(u))
+    data = _write_out(transcript, args, run_log)
     if args.out:
         print(f"transcript written to {Path(args.out)}")
     print(f"transcript hash: {hashlib.sha256(data).hexdigest()}")
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _load_scenario(args)
-    provider, embedder = _build_backend(args)
-    _check_out(args, log=True)
-    run_log = RunLog()
-    transcript = _simulate(args, run_log, cfg, provider, embedder)
-    for u in transcript.utterances:
-        print(_summary_line(u))
-    _finish_run(transcript, args, run_log)
-    return EXIT_OK
-
-
-def cmd_interactive(args: argparse.Namespace) -> int:
-    cfg = _load_scenario(args)
-    if args.play_as not in {a.name for a in cfg.agents}:
-        raise CliInputError(f"--as {args.play_as!r} does not name a scenario agent")
-    provider, embedder = _build_backend(args)
-    _check_out(args, log=True)
-    run_log = RunLog()
-    print(f"You are {args.play_as}. Situation: {cfg.opening_prompt}")
-    print("Type your lines; Ctrl-D ends the conversation.")
-
-    def show(u: Utterance) -> None:
-        if u.speaker != args.play_as:
-            print(_summary_line(u))
-
-    transcript = _simulate(
-        args,
-        run_log,
-        cfg,
-        provider,
-        embedder,
-        human_agent=args.play_as,
-        input_fn=input,
-        on_utterance=show,
-    )
-    _finish_run(transcript, args, run_log)
     return EXIT_OK
 
 

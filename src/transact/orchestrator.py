@@ -54,12 +54,12 @@ class InvalidScenarioError(ValueError):
 
 class SimulationError(RuntimeError):
     """The index build or a turn failed; carries the partial transcript (no
-    termination reason), with no utterance if the build failed."""
+    termination reason), with no utterance if the build failed. The failure
+    is its ``__cause__``."""
 
-    def __init__(self, message: str, transcript: Transcript, cause: Exception) -> None:
+    def __init__(self, message: str, transcript: Transcript) -> None:
         super().__init__(message)
         self.transcript = transcript
-        self.cause = cause
 
 
 def _gather(executor: Executor | None, jobs: Sequence[Callable[[], T]]) -> list[T]:
@@ -271,7 +271,7 @@ def run_simulation(
         try:
             indices = build_indices(cfg, embedder, pool)
         except Exception as e:
-            raise SimulationError(f"index build failed: {e}", snapshot(None), e) from e
+            raise SimulationError(f"index build failed: {e}", snapshot(None)) from e
         while len(utterances) < cfg.max_turns:
             turn = len(utterances)
             speaker = _speaker_at(cfg, turn)
@@ -289,7 +289,5 @@ def run_simulation(
                 logger.info("provider layer stopped the run at turn %d", turn)
                 return snapshot(TerminationReason.PROVIDER_STOP)
             except Exception as e:
-                raise SimulationError(
-                    f"turn {turn} ({speaker}) failed: {e}", snapshot(None), e
-                ) from e
+                raise SimulationError(f"turn {turn} ({speaker}) failed: {e}", snapshot(None)) from e
     return snapshot(TerminationReason.MAX_TURNS)

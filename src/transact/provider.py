@@ -38,7 +38,12 @@ DEFAULT_BASE_URL = "https://api.openai.com/v1"
 DEFAULT_MODEL = "gpt-4o"
 DEFAULT_EMBEDDER_MODEL = "text-embedding-3-small"
 DEFAULT_TIMEOUT_MS = 30_000
-DEFAULT_RESPONSE_BYTE_CAP = 1_048_576
+#: How many times a failed HTTP request is retried, and the wait before each
+#: retry in seconds when the reply names none (see ``_Endpoint``).
+MAX_RETRIES = 2
+RETRY_DELAY_S = 0.5
+#: The most bytes a reply may have, from any backend.
+RESPONSE_BYTE_CAP = 1_048_576
 #: Completions are sampled greedily, so a live run is as repeatable as its endpoint.
 TEMPERATURE = 0.0
 
@@ -53,7 +58,6 @@ class ScriptedQueueUnderrun(ProviderError):
 
 class ProviderStopSignal(Exception):
     """An orderly end-of-run request from the provider layer (e.g. end of
-
     interactive input). Recorded in transcripts as the ProviderStop reason."""
 
 
@@ -102,9 +106,6 @@ class ProviderConfig:
     model: str = DEFAULT_MODEL
     embedder: str = DEFAULT_EMBEDDER_MODEL
     timeout_ms: int = DEFAULT_TIMEOUT_MS
-    max_retries: int = 2
-    retry_delay_s: float = 0.5
-    response_byte_cap: int = DEFAULT_RESPONSE_BYTE_CAP
 
 
 def _truncate_at_stop(text: str, stop_markers: Sequence[str]) -> str:
@@ -120,15 +121,14 @@ class _ChatBackend:
     """What every chat backend does around its raw reply.
 
     ``complete`` checks the messages, takes the raw reply from ``_reply``,
-    enforces the reply byte cap, cuts the reply at the first stop marker and
-    appends the call to ``call_log``.
+    enforces ``RESPONSE_BYTE_CAP``, cuts the reply at the first stop marker
+    and appends the call to ``call_log``.
     """
 
     kind: str
     model: str
 
-    def __init__(self, response_byte_cap: int) -> None:
-        self._response_byte_cap = response_byte_cap
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.call_log: list[ProviderCall] = []
 
@@ -152,9 +152,9 @@ class _ChatBackend:
             raise ProviderError("the first message must have the System role")
         raw = self._reply(messages, stop_markers, caller)
         size = len(raw.encode("utf-8"))
-        if size > self._response_byte_cap:
+        if size > RESPONSE_BYTE_CAP:
             raise ProviderError(
-                f"response of {size} bytes exceeds the {self._response_byte_cap}-byte cap"
+                f"response of {size} bytes exceeds the {RESPONSE_BYTE_CAP}-byte cap"
             )
         text = _truncate_at_stop(raw, stop_markers)
         with self._lock:
@@ -199,13 +199,8 @@ class ScriptedProvider(_ChatBackend):
     kind = "scripted"
     model = "scripted"
 
-    def __init__(
-        self,
-        fixtures: Sequence[tuple[str, str]],
-        *,
-        response_byte_cap: int = DEFAULT_RESPONSE_BYTE_CAP,
-    ) -> None:
-        super().__init__(response_byte_cap)
+    def __init__(self, fixtures: Sequence[tuple[str, str]]) -> None:
+        super().__init__()
         self._queues: dict[str, deque[str]] = {}
         for key, response in fixtures:
             self._queues.setdefault(key, deque()).append(response)
@@ -346,9 +341,9 @@ class _Endpoint:
     whole reply; any error closes it. A request that fails on a reused
     connection before any reply is resent at once on a new one: the server
     had closed the keep-alive. Connection errors, 429 and 5xx replies are
-    retried ``max_retries`` times, after the reply's ``Retry-After`` seconds
-    on 429 and 503 (at most the timeout) or else after ``retry_delay_s``. A
-    body is read no further than ``response_byte_cap`` bytes: a longer one is
+    retried ``MAX_RETRIES`` times, after the reply's ``Retry-After`` seconds
+    on 429 and 503 (at most the timeout) or else after ``RETRY_DELAY_S``. A
+    body is read no further than ``RESPONSE_BYTE_CAP`` bytes: a longer one is
     a provider error.
     """
 
@@ -357,11 +352,9 @@ class _Endpoint:
             raise ProviderError(
                 f"no API credential: set {API_KEY_ENV} before using the http backend"
             )
-        self._config = config
+        self._timeout_s = config.timeout_ms / 1000.0
         self._url = f"{config.base_url.rstrip('/')}/{path}"
-        self._connect, self._target, proxy_headers = _connector(
-            self._url, config.timeout_ms / 1000.0
-        )
+        self._connect, self._target, proxy_headers = _connector(self._url, self._timeout_s)
         self._headers = {
             "Authorization": f"Bearer {api_key}",
             "Content-Type": "application/json",
@@ -373,13 +366,13 @@ class _Endpoint:
         weakref.finalize(self, _close_all, self._idle)
 
     def post(self, payload: dict) -> dict:
-        url, config = self._url, self._config
+        url = self._url
         body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
-        for attempt in range(config.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 time.sleep(delay_s)
-            delay_s = config.retry_delay_s
+            delay_s = RETRY_DELAY_S
             try:
                 status, retry_after, data = self._exchange(body)
             except (OSError, http.client.HTTPException) as e:
@@ -396,7 +389,7 @@ class _Endpoint:
             if status < 500 and status != 429:
                 raise last_error
             if status in (429, 503):
-                waited = _retry_after_s(retry_after, config.timeout_ms / 1000.0)
+                waited = _retry_after_s(retry_after, self._timeout_s)
                 if waited is not None:
                     delay_s = waited
         assert last_error is not None
@@ -410,7 +403,7 @@ class _Endpoint:
         """
         with self._lock:
             conn = self._idle.pop() if self._idle else self._connect()
-        cap = self._config.response_byte_cap
+        cap = RESPONSE_BYTE_CAP
         try:
             reused = conn.sock is not None
             try:
@@ -448,7 +441,7 @@ class HttpProvider(_ChatBackend):
 
     def __init__(self, config: ProviderConfig, api_key: str) -> None:
         self._endpoint = _Endpoint(config, api_key, "chat/completions")
-        super().__init__(config.response_byte_cap)
+        super().__init__()
         self.model = config.model
 
     def _reply(

@@ -31,3 +31,15 @@ def stupid_fixtures() -> list[tuple[str, str]]:
 def golden_transcript(stupid_scenario, stupid_fixtures) -> Transcript:
     """One reference run of the bundled scenario under the scripted backend."""
     return run_simulation(stupid_scenario, ScriptedProvider(stupid_fixtures), HashEmbedder())
+
+
+@pytest.fixture()
+def provider_limits(monkeypatch):
+    """Sets ``transact.provider``'s module limits for one test, by name:
+    ``provider_limits(MAX_RETRIES=0, RESPONSE_BYTE_CAP=16)``."""
+
+    def set_limits(**values) -> None:
+        for name, value in values.items():
+            monkeypatch.setattr(f"transact.provider.{name}", value)
+
+    return set_limits

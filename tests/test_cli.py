@@ -120,7 +120,8 @@ class TestRun:
             assert code == EXIT_INPUT, path
             assert message.format("fixture") in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    # 10**16 ms is past what a socket timeout can hold.
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "2147483648", "10000000000000000"])
     def test_timeout_that_is_not_a_positive_integer_is_input_error(
         self, scenario_file, monkeypatch, capsys, value
     ):
@@ -452,6 +453,36 @@ class TestValidate:
         assert "decision_weights.relevance: number out of range for a float" in err
 
 
+def jordan_against_alex(tmp_path, max_turns: int, alex_turns: int):
+    """A scenario file where Jordan speaks first, and a fixture file with
+    Alex's replies for ``alex_turns`` turns."""
+    cfg = make_scenario(max_turns=max_turns, first_speaker="Jordan")
+    scenario = tmp_path / "s.json"
+    scenario.write_text(serialize_scenario(cfg), encoding="utf-8")
+    alex_cfg = make_scenario(max_turns=2 * alex_turns, first_speaker="Alex")
+    entries = [
+        {"key": k, "response": r}
+        for k, r in simple_run_fixtures(alex_cfg)
+        if k.startswith("Alex/")
+    ]
+    fixtures = tmp_path / "f.json"
+    fixtures.write_text(json.dumps(entries), encoding="utf-8")
+    return cfg, scenario, fixtures
+
+
+def typed_lines(monkeypatch, capsys, lines):
+    """Stand in for the terminal: each prompt takes the next line, and records
+    what the command printed to stdout since the previous prompt."""
+    lines, printed = iter(lines), []
+
+    def fake_input(prompt=""):
+        printed.append(capsys.readouterr().out)
+        return next(lines)
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    return printed
+
+
 class TestInteractive:
     def test_human_plays_jordan_against_scripted_alex(
         self, tmp_path, monkeypatch, capsys
@@ -508,3 +539,52 @@ class TestInteractive:
         t = parse_transcript(out.read_text(encoding="utf-8"))
         assert t.utterances == ()
         assert t.termination_reason is not None
+
+    def test_stdout_shows_the_intro_then_each_alex_line_as_it_comes_then_the_hash(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg, scenario, fixtures = jordan_against_alex(tmp_path, max_turns=4, alex_turns=2)
+        printed = typed_lines(monkeypatch, capsys, ["Let us look.", "Fine, I will fix it."])
+        out = tmp_path / "t.json"
+        code = run_cli(
+            "interactive", "--scenario", scenario, "--as", "Jordan",
+            "--fixtures", fixtures, "--out", out,
+        )
+        assert code == EXIT_OK
+        printed.append(capsys.readouterr().out)
+        data = out.read_bytes()
+        alex = [
+            f"[{u.turn:02d}] Alex ({u.chosen_ego.value}): {text[:80]}\n"
+            for u in parse_transcript(data.decode("utf-8")).utterances
+            if u.speaker == "Alex"
+            for text in [u.text.replace("\n", " ")]
+        ]
+        assert len(alex) == 2
+        assert printed == [
+            f"You are Jordan. Situation: {cfg.opening_prompt}\n"
+            "Type your lines; Ctrl-D ends the conversation.\n",
+            alex[0],
+            alex[1]
+            + f"transcript written to {out}\n"
+            + f"transcript hash: {hashlib.sha256(data).hexdigest()}\n",
+        ]
+
+    def test_fixture_underrun_is_runtime_error_with_partial_transcript(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        _, scenario, fixtures = jordan_against_alex(tmp_path, max_turns=4, alex_turns=1)
+        printed = typed_lines(monkeypatch, capsys, ["Let us look.", "Fine, I will fix it."])
+        out = tmp_path / "partial.json"
+        code = run_cli(
+            "interactive", "--scenario", scenario, "--as", "Jordan",
+            "--fixtures", fixtures, "--out", out,
+        )
+        assert code == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert len(printed) == 2
+        assert "transcript hash" not in captured.out
+        assert f"partial transcript written to {out}" in captured.err
+        partial = parse_transcript(out.read_text(encoding="utf-8"))
+        assert partial.termination_reason is None
+        assert [u.speaker for u in partial.utterances] == ["Jordan", "Alex", "Jordan"]
+        assert_run_log_ends_in_failed_turn(tmp_path / "partial.json.log", 3)

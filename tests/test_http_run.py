@@ -130,10 +130,16 @@ def no_proxy_settings(monkeypatch):
             monkeypatch.delenv(name)
 
 
+@pytest.fixture(autouse=True)
+def no_retries(provider_limits):
+    """A rejected request fails its call at once."""
+    provider_limits(MAX_RETRIES=0)
+
+
 def http_backend(base_url: str):
     config = ProviderConfig(
         kind="http", base_url=base_url, model="stub-model", embedder="stub-embedder",
-        timeout_ms=5000, max_retries=0,
+        timeout_ms=5000,
     )
     return HttpProvider(config, API_KEY), CachingEmbedder(RemoteEmbedder(config, API_KEY))
 

@@ -177,7 +177,6 @@ class TestRunSimulation:
         with pytest.raises(SimulationError, match="index build failed: .*no alphanumeric") as err:
             run_simulation(cfg, provider, HashEmbedder())
         assert isinstance(err.value.__cause__, MemoryIndexError)
-        assert err.value.cause is err.value.__cause__
         partial = err.value.transcript
         assert partial.utterances == ()
         assert partial.termination_reason is None

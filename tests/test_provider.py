@@ -72,8 +72,9 @@ class TestScriptedProvider:
         with pytest.raises(ProviderError, match="caller"):
             provider.complete([SYSTEM, USER])
 
-    def test_byte_cap_enforced(self):
-        provider = ScriptedProvider([("Jordan/Child", "x" * 100)], response_byte_cap=10)
+    def test_byte_cap_enforced(self, provider_limits):
+        provider_limits(RESPONSE_BYTE_CAP=10)
+        provider = ScriptedProvider([("Jordan/Child", "x" * 100)])
         with pytest.raises(ProviderError, match="byte cap"):
             provider.complete([SYSTEM, USER], caller=CALLER)
 

@@ -201,6 +201,12 @@ def sleeps(monkeypatch):
     return delays
 
 
+@pytest.fixture(autouse=True)
+def fast_retries(provider_limits):
+    """One retry, after 0.01 s; a test sets other limits through ``provider_limits``."""
+    provider_limits(MAX_RETRIES=1, RETRY_DELAY_S=0.01)
+
+
 def config_for(server, **overrides) -> ProviderConfig:
     defaults = dict(
         kind="http",
@@ -208,8 +214,6 @@ def config_for(server, **overrides) -> ProviderConfig:
         model="stub-model",
         embedder="stub-embedder",
         timeout_ms=2000,
-        max_retries=1,
-        retry_delay_s=0.01,
     )
     defaults.update(overrides)
     return ProviderConfig(**defaults)
@@ -259,17 +263,16 @@ class TestHttpProvider:
         assert provider.complete(MESSAGES) == "after retry"
         assert len(stub_server.requests) == 2
 
-    def test_retry_exhaustion_raises(self, stub_server):
+    def test_retry_exhaustion_raises(self, stub_server, provider_limits):
         stub_server.script["/chat/completions"] = [(503, {"error": "busy"})] * 3
-        provider = HttpProvider(config_for(stub_server, max_retries=1), api_key="test-key")
+        provider_limits(MAX_RETRIES=1)
+        provider = HttpProvider(config_for(stub_server), api_key="test-key")
         with pytest.raises(ProviderError, match="503"):
             provider.complete(MESSAGES)
 
-    def test_connection_failure_is_a_provider_error(self):
-        config = ProviderConfig(
-            kind="http", base_url="http://127.0.0.1:9", timeout_ms=200,
-            max_retries=0, retry_delay_s=0.0,
-        )
+    def test_connection_failure_is_a_provider_error(self, provider_limits):
+        provider_limits(MAX_RETRIES=0, RETRY_DELAY_S=0.0)
+        config = ProviderConfig(kind="http", base_url="http://127.0.0.1:9", timeout_ms=200)
         provider = HttpProvider(config, api_key="test-key")
         with pytest.raises(ProviderError, match="failed"):
             provider.complete(MESSAGES)
@@ -287,9 +290,10 @@ class TestHttpProvider:
         assert event == {**scripted_event, "backend": "http"}
         assert event["request_bytes"] == len(b"sys") + len(b"go")
 
-    def test_byte_cap(self, stub_server):
+    def test_byte_cap(self, stub_server, provider_limits):
         stub_server.script["/chat/completions"] = [(200, completion_payload("y" * 64))]
-        provider = HttpProvider(config_for(stub_server, response_byte_cap=16), api_key="test-key")
+        provider_limits(RESPONSE_BYTE_CAP=16)
+        provider = HttpProvider(config_for(stub_server), api_key="test-key")
         with pytest.raises(ProviderError, match="byte cap"):
             provider.complete(MESSAGES)
 
@@ -409,22 +413,26 @@ class TestConnection:
         }
         assert ports["/chat/completions"] != ports["/embeddings"]
 
-    def test_closed_keep_alive_is_resent_once_without_using_a_retry(self, sleeps):
+    def test_closed_keep_alive_is_resent_once_without_using_a_retry(
+        self, sleeps, provider_limits
+    ):
         with serving(HangUpHandler) as server:
             server.script["/chat/completions"] = [
                 (200, completion_payload("first")),
                 (200, completion_payload("second")),
             ]
-            provider = HttpProvider(config_for(server, max_retries=0), api_key="test-key")
+            provider_limits(MAX_RETRIES=0)
+            provider = HttpProvider(config_for(server), api_key="test-key")
             assert provider.complete(MESSAGES) == "first"
             assert provider.complete(MESSAGES) == "second"
         assert len({req["port"] for req in server.requests}) == 2
         assert sleeps == []
 
-    def test_a_fresh_connection_that_fails_is_not_resent(self, sleeps):
+    def test_a_fresh_connection_that_fails_is_not_resent(self, sleeps, provider_limits):
         with serving(HangUpHandler) as server:
             server.script["/chat/completions"] = [(200, completion_payload("first"))]
-            provider = HttpProvider(config_for(server, max_retries=0), api_key="test-key")
+            provider_limits(MAX_RETRIES=0)
+            provider = HttpProvider(config_for(server), api_key="test-key")
             provider.complete(MESSAGES)
             with pytest.raises(ProviderError, match="failed"):
                 provider.complete(MESSAGES)
@@ -433,25 +441,25 @@ class TestConnection:
         assert len({req["port"] for req in server.requests}) == len(server.requests) == 2
         assert sleeps == []
 
-    def test_body_over_the_cap_fails_and_the_next_call_reconnects(self):
+    def test_body_over_the_cap_fails_and_the_next_call_reconnects(self, provider_limits):
         with serving(OversizeFirstReplyHandler) as server:
             server.script["/chat/completions"] = [(200, completion_payload("small"))]
-            provider = HttpProvider(
-                config_for(server, response_byte_cap=1024, max_retries=0), api_key="test-key"
-            )
+            provider_limits(RESPONSE_BYTE_CAP=1024, MAX_RETRIES=0)
+            provider = HttpProvider(config_for(server), api_key="test-key")
             with pytest.raises(ProviderError, match="byte cap"):
                 provider.complete(MESSAGES)
             assert provider.complete(MESSAGES) == "small"
         assert len({req["port"] for req in server.requests}) == 2
 
-    def test_concurrent_callers_open_no_more_connections_than_callers(self):
+    def test_concurrent_callers_open_no_more_connections_than_callers(self, provider_limits):
         callers, calls_each = 4, 5
         with serving(MeetingHandler) as server:
             server.barrier = threading.Barrier(callers, timeout=5)
             server.script["/chat/completions"] = [
                 (200, completion_payload("shared")) for _ in range(callers * calls_each)
             ]
-            provider = HttpProvider(config_for(server, max_retries=0), api_key="test-key")
+            provider_limits(MAX_RETRIES=0)
+            provider = HttpProvider(config_for(server), api_key="test-key")
             replies: list[str] = []
 
             def call() -> None:
@@ -473,15 +481,14 @@ class TestConnection:
         [(SlowFirstReplyHandler, "timed out"), (TruncatedFirstReplyHandler, "IncompleteRead")],
         ids=["timed-out", "truncated"],
     )
-    def test_a_connection_that_failed_is_never_reused(self, handler, error):
+    def test_a_connection_that_failed_is_never_reused(self, handler, error, provider_limits):
         # A reply over the byte cap is test_body_over_the_cap_fails_and_the_next_call_reconnects.
         with serving(handler) as server:
             server.script["/chat/completions"] = [
                 (200, completion_payload(f"reply {i}")) for i in range(3)
             ]
-            provider = HttpProvider(
-                config_for(server, timeout_ms=200, max_retries=0), api_key="test-key"
-            )
+            provider_limits(MAX_RETRIES=0)
+            provider = HttpProvider(config_for(server, timeout_ms=200), api_key="test-key")
             with pytest.raises(ProviderError, match=error):
                 provider.complete(MESSAGES)
             assert [provider.complete(MESSAGES) for _ in range(3)] == [
@@ -505,16 +512,15 @@ class TestConnection:
         ids=["429", "503", "capped", "garbage", "http-date", "absent", "500-ignores-it"],
     )
     def test_retry_after_seconds_on_429_and_503(
-        self, stub_server, sleeps, status, retry_after, delay
+        self, stub_server, sleeps, provider_limits, status, retry_after, delay
     ):
         headers = {} if retry_after is None else {"Retry-After": retry_after}
         stub_server.script["/chat/completions"] = [
             (status, {"error": "busy"}, headers),
             (200, completion_payload("after retry")),
         ]
-        provider = HttpProvider(
-            config_for(stub_server, timeout_ms=2000, retry_delay_s=0.01), api_key="test-key"
-        )
+        provider_limits(RETRY_DELAY_S=0.01)
+        provider = HttpProvider(config_for(stub_server, timeout_ms=2000), api_key="test-key")
         assert provider.complete(MESSAGES) == "after retry"
         assert sleeps == [delay]
 
