@@ -32,6 +32,8 @@ from .core import (
 from .orchestrator import InvalidScenarioError, SimulationError, run_simulation
 from .provider import (
     API_KEY_ENV,
+    MAX_TIMEOUT_MS,
+    TIMEOUT_ENV,
     HashEmbedder,
     HttpProvider,
     CachingEmbedder,
@@ -51,10 +53,6 @@ EXIT_RUNTIME = 3
 BASE_URL_ENV = "TRANSACT_BASE_URL"
 MODEL_ENV = "TRANSACT_MODEL"
 EMBEDDER_ENV = "TRANSACT_EMBEDDER"
-TIMEOUT_ENV = "TRANSACT_TIMEOUT_MS"
-#: The longest request timeout in ms, about 24.8 days: a socket cannot wait
-#: much over 9e9 s, and a larger value fails only at the first request.
-MAX_TIMEOUT_MS = 2**31 - 1
 
 #: The search budget ``analyze`` audits against without --budget or --scenario.
 DEFAULT_AUDIT_BUDGET = 5
@@ -187,24 +185,21 @@ def _build_backend(args: argparse.Namespace):
     api_key = os.environ.get(API_KEY_ENV, "")
     try:
         return HttpProvider(config, api_key), CachingEmbedder(RemoteEmbedder(config, api_key))
-    except ProviderError as e:  # a bad base URL or no credential: checked before any request
+    # A bad timeout or base URL, or no credential: checked before any request.
+    except ProviderError as e:
         raise CliInputError(str(e)) from e
 
 
 def _timeout_ms() -> int:
-    """The request timeout in ms, an integer from 1 to ``MAX_TIMEOUT_MS``: zero
-    makes a socket non-blocking."""
+    """The request timeout in ms as an integer; the http backends check its range."""
     raw = os.environ.get(TIMEOUT_ENV, str(ProviderConfig.timeout_ms))
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
-        value = 0
-    if not 1 <= value <= MAX_TIMEOUT_MS:
         raise CliInputError(
             f"{TIMEOUT_ENV} must be a positive integer (ms) of at most {MAX_TIMEOUT_MS}, "
             f"got {raw!r}"
-        )
-    return value
+        ) from None
 
 
 def _summary_line(u: Utterance) -> str:

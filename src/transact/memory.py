@@ -2,48 +2,81 @@
 
 Search is brute force over the partition: at desk scale (tens to low
 thousands of records) this is exact, fast, and equal to the
-score-everything-and-sort oracle the tests use. All dot products and norms
-use exactly rounded summation (``math.fsum``), so scores are bit-identical
-across platforms and independent of accumulation order; that keeps canonical
+score-everything-and-sort oracle the tests use. A score is the ``math.fsum``
+of the products over the product of the norms, each the square root of an
+``fsum``. ``fsum`` is exactly rounded, so scores are bit-identical across
+platforms and independent of accumulation order; that keeps canonical
 transcripts byte-stable everywhere.
 
-A query whose ``support`` (the indices of its non-zero entries, with their
-values) leaves out some index is scored one dimension at a time, through the
-index's postings: for each dimension, the positions of the entries whose
-support includes it and their values there. For each query dimension ``d``,
-the products ``q_d * v`` of its postings are scattered into a fresh all-0.0
-column of one slot per entry, and an entry's dot product is the ``fsum`` of
-its row across the columns (``zip(*columns)``). So only non-zero pairs are
-multiplied: Python bytecode runs once per posting the query reaches, and the
-per-entry sums run in C. A hash-embedded query fills a handful of its 256
-buckets, and each posting list is short.
-
-The bits are those of the dense definition, the ``fsum`` of all ``q_i * e_i``.
-``math.fsum`` is exactly rounded, so the order of the terms does not matter,
-and it keeps no zero term, +0.0 or -0.0, so neither do the products left out,
-each of which has a zero factor, nor the 0.0 slots of the columns. Every other
-product is the same multiplication. A sum with no non-zero term is +0.0, so an
-entry that shares no dimension with the query scores +0.0.
+A vector from ``EmbeddingVector.sparse``, as the hash embedder makes them,
+holds only its support: the ascending indices of its non-zero entries and
+their values. Its tuple of all ``dim`` values is built only when read.
 
 A query whose support covers every index, as a real embedding model's output
-does, is walked row by row instead: each entry's values against the query's,
-in chained C-level ``map`` calls. A partition that only dense queries reach
-never builds its postings.
+does, is walked row by row: each entry's values against the query's, in
+chained C-level ``map`` calls. Any other query is scored through the index's
+postings: for each dimension, the positions of the entries whose support
+includes it and their values there. Each form is built on the first search
+that needs it, so a partition that only sparse queries reach never builds
+the entries' full values, and one that only dense queries reach never builds
+postings. A sparse search runs in four steps:
+
+1. Approximate dots: for each query dimension ``d``, ``acc[i] += q_d * v``
+   over the postings of ``d``, into one list of a slot per entry. Only
+   non-zero pairs are multiplied.
+2. Approximate cosines ``a_i = acc[i] / (|q| * |e_i|)``, with the very
+   denominator of the exact score.
+3. T, the k-th largest ``a_i``, clamped to [-1, 1].
+4. The exact score of only the entries with ``a_i >= T - 2M``, where
+   ``M = (m + 2) * 2**-52`` and m is the length of the query's support.
+
+An exact score is the ``fsum`` of the entry's support values times the
+query's, 0.0 where the query has none. Those are the bits of the dense
+definition, the ``fsum`` of all ``q_i * e_i``: the order of the terms does
+not matter, and ``fsum`` keeps no zero term, +0.0 or -0.0, so neither do the
+products left out, each of which has a zero factor. A sum with no non-zero
+term is +0.0.
+
+Step 4 is a floating-point filter with exact verification (Shewchuk 1997):
+the approximate score decides only where a proven error bound shows it
+cannot change the answer. Let u = 2**-53, p_j the rounded products, S their
+exact sum and c_i the exact score, and let every norm, the query's and each
+entry's, lie in [2**-400, 2**400]. Then no sum or product overflows, and an
+underflowing product or square errs by at most 2**-1075, far below
+u * |q| * |e|; the bounds below absorb it.
+
+- By Cauchy-Schwarz, the sum of the |p_j| is at most (1 + u) |q| |e| = B.
+- ``fsum`` gives D with |D - S| <= u |S|. Naive summation of at most m terms
+  gives A with |A - S| <= (m - 1) u B / (1 - (m - 1) u) (Higham, *Accuracy
+  and Stability of Numerical Algorithms*, section 4.2).
+- Each computed norm is at least (1 - u)**2 times the true one, so the
+  shared denominator P is at least (1 - u)**5 |q| |e|.
+- Each of the two divisions adds at most u times a quotient of about 1.
+
+So |a_i - c_i| <= E = (m + 2) u (1 + (3m + 8) u). Clamping to [-1, 1]
+moves no two values farther apart. Each of the k entries with the largest
+clamped ``a_i`` has a clamped exact score of at least T - E. An entry left
+out has ``a_i`` below T - 2M as computed, which exceeds the exact difference
+by at most u (1 + 2M), so its clamped exact score is below
+T - 2M + u (1 + 2M) + E <= T - E while m < 2**24: strictly lower, and it
+ranks below at least k entries whatever its id. When T - 2M <= -1 every entry is kept, since clamped scores may tie
+at -1; when a norm lies outside the range above, every entry is kept too,
+which is exact scoring of every entry.
 
 Rounding can put a cosine just outside [-1, 1]: the raw self-cosine of
 (1, 1, 1) is 1.0000000000000002. Every norm is checked finite and non-zero, so
 no score is NaN, and the clamp ``min(1.0, max(-1.0, x))`` leaves every score
-in [-1, 1] as it is; it runs only when the least or the greatest score is
-outside.
+in [-1, 1] as it is.
 
 The top k are ranked by the keys (-score, id, position), as a full sort of
-every entry would rank them. The k-th best score is found first, and only the
-entries scoring at least that, ties included, get a key.
+every entry would rank them. The k-th best exact score is found first, and
+only the entries scoring at least that, ties included, get a key.
 
-An index's entries never change after build. Its postings and record ids are
-built on first use by ``cached_property``, each a pure function of the
-entries, so two threads that race on a first search build equal copies and
-either serves. Nothing else is written, so concurrent searches need no lock.
+Vectors and index entries never change after build. What is built on first
+use by ``cached_property`` (a vector's values, support and norm; an index's
+values, postings, record ids and norm check) is a pure function of them, so
+two threads that race on a first use build equal copies and either serves.
+Nothing else is written, so concurrent searches need no lock.
 """
 
 from __future__ import annotations
@@ -63,34 +96,53 @@ class MemoryIndexError(ValueError):
     """Raised for bad vectors, mixed partitions, or embedder failures at build."""
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: tuple[float, ...]
+#: The sparse filter's error bound holds while every norm lies in this range.
+_FILTER_MIN_NORM = 2.0**-400
+_FILTER_MAX_NORM = 2.0**400
 
-    def __post_init__(self) -> None:
-        if not self.values:
+
+def _check_finite(values: Sequence[float]) -> None:
+    # A finite sum means finite entries; the exact scan runs only when the
+    # sum is not, which finite entries whose sum overflows also pass.
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise MemoryIndexError("embedding entries must all be finite")
+
+
+class EmbeddingVector:
+    """An immutable vector of ``dim`` finite floats; equal entries make equal
+    vectors, however each was built."""
+
+    dim: int
+
+    def __init__(self, values: tuple[float, ...]) -> None:
+        if not values:
             raise MemoryIndexError("embedding must have at least one dimension")
-        # A finite sum means finite entries; the exact scan runs only when the
-        # sum is not, which finite entries whose sum overflows also pass.
-        if not math.isfinite(sum(self.values)) and not all(map(math.isfinite, self.values)):
-            raise MemoryIndexError("embedding entries must all be finite")
+        _check_finite(values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "dim", len(values))
 
     @classmethod
     def sparse(cls, dim: int, indices: Sequence[int], values: Sequence[float]) -> EmbeddingVector:
         """The vector of ``dim`` entries that holds ``values`` at the ascending
-        ``indices`` and 0.0 elsewhere, with the support taken as given rather
-        than found by a scan of every entry."""
-        full = [0.0] * dim  # one shared 0.0 object, not a new float per entry
-        for i, v in zip(indices, values):
-            full[i] = v
-        vec = cls(tuple(full))
-        if 2 * len(indices) <= dim:  # otherwise ``support`` keeps the whole vector
-            vec.__dict__["support"] = (list(indices), list(values))
-        return vec
+        ``indices`` and 0.0 elsewhere, kept as that support: the full
+        ``values`` tuple is built only when read."""
+        if dim < 1:
+            raise MemoryIndexError("embedding must have at least one dimension")
+        if indices and not 0 <= indices[0] <= indices[-1] < dim:
+            raise MemoryIndexError(f"support indices must lie in [0, {dim})")
+        _check_finite(values)
+        vec = cls.__new__(cls)
+        object.__setattr__(vec, "dim", dim)
+        object.__setattr__(vec, "support", (list(indices), list(values)))
+        # More than half filled: the whole vector, as ``support`` keeps it.
+        return cls(vec.values) if 2 * len(indices) > dim else vec
 
-    @property
-    def dim(self) -> int:
-        return len(self.values)
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        full = [0.0] * self.dim  # one shared 0.0 object, not a new float per entry
+        for i, v in zip(*self.support):
+            full[i] = v
+        return tuple(full)
 
     @cached_property
     def support(self) -> tuple[Sequence[int], Sequence[float]]:
@@ -109,11 +161,28 @@ class EmbeddingVector:
 
     @cached_property
     def norm(self) -> float:
-        values = self.support[1]
+        # A vector with no zero entry squares its values, so it never builds a
+        # support; fsum keeps no zero square, so both give the same bits.
+        full = "support" not in self.__dict__ and 0.0 not in self.values
+        values = self.values if full else self.support[1]
         try:
             return math.sqrt(math.fsum(map(operator.mul, values, values)))
         except OverflowError:  # the squares' exact sum is beyond the float range
             return math.inf
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EmbeddingVector):
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"EmbeddingVector(values={self.values!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: EmbeddingVector is immutable")
 
 
 class Embedder(Protocol):
@@ -137,6 +206,15 @@ def _norm_fault(vec: EmbeddingVector) -> str | None:
 def _row_dots(q: EmbeddingVector, rows: Iterable[Sequence[float]]) -> Iterable[float]:
     """dot(q, e) for each entry e given by all its values."""
     return map(math.fsum, map(map, repeat(operator.mul), repeat(q.values), rows))
+
+
+def _kth_largest(values: Sequence[float], k: int) -> float:
+    """The k-th largest of ``values``, or the least if there are fewer."""
+    # heapq's selection runs Python code on every call; below a few hundred
+    # values a C-level sort is faster.
+    if len(values) <= 256:
+        return sorted(values, reverse=True)[:k][-1]
+    return heapq.nlargest(k, values)[-1]
 
 
 def _cosines(q: EmbeddingVector, dots: Iterable[float], norms: Iterable[float]) -> list[float]:
@@ -173,16 +251,13 @@ class MemoryIndex:
     ego_state: EgoState
     entries: tuple[tuple[MemoryRecord, EmbeddingVector], ...]
     dim: int
-    # What a search reads of each entry: the values for a dense query's row
-    # walk, and the norms for every cosine.
-    _values: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    # Every cosine divides by the entry's norm.
     _norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Checked once here, so a search can score entries without checking each.
         for rec, vec in self.entries:
             _check_entry(rec, vec, self.dim)
-        object.__setattr__(self, "_values", tuple(vec.values for _, vec in self.entries))
         object.__setattr__(self, "_norms", tuple(vec.norm for _, vec in self.entries))
 
     def __len__(self) -> int:
@@ -191,6 +266,11 @@ class MemoryIndex:
     @cached_property
     def record_ids(self) -> tuple[str, ...]:
         return tuple(rec.id for rec, _ in self.entries)
+
+    @cached_property
+    def _values(self) -> tuple[tuple[float, ...], ...]:
+        """Each entry's values, for a dense query's row walk."""
+        return tuple(vec.values for _, vec in self.entries)
 
     @cached_property
     def _postings(self) -> dict[int, tuple[list[int], list[float]]]:
@@ -208,21 +288,40 @@ class MemoryIndex:
                     postings[d] = ([i], [v])
         return postings
 
-    def _sparse_dots(self, q: EmbeddingVector) -> Iterable[float]:
-        """dot(q, e) for each entry e, multiplying only pairs the query's
-        support and the postings share."""
+    @cached_property
+    def _norms_in_range(self) -> bool:
+        """Whether every entry's norm lies where the sparse filter's error bound holds."""
+        return all(_FILTER_MIN_NORM <= norm <= _FILTER_MAX_NORM for norm in self._norms)
+
+    def _sparse_scores(self, q: EmbeddingVector, k: int) -> tuple[Sequence[int], list[float]]:
+        """The positions of the entries that may rank in the top k for a
+        sparse query, and their exact cosines, clamped: steps 1 to 4 of the
+        module docstring."""
         n = len(self.entries)
-        columns = []
+        acc = [0.0] * n
         postings = self._postings
         for d, q_d in zip(*q.support):
             if d in postings:
                 positions, values = postings[d]
-                column = [0.0] * n
                 # A plain loop: it measured faster than a C-level map of setitem.
                 for i, v in zip(positions, values):
-                    column[i] = q_d * v
-                columns.append(column)
-        return map(math.fsum, zip(*columns)) if columns else [0.0] * n
+                    acc[i] += q_d * v
+        kept: Sequence[int] = range(n)
+        norms = self._norms
+        if self._norms_in_range and _FILTER_MIN_NORM <= q.norm <= _FILTER_MAX_NORM:
+            approx = list(map(operator.truediv, acc, map(operator.mul, repeat(q.norm), norms)))
+            kth = _kth_largest(approx, k)
+            margin = (len(q.support[0]) + 2) * 2.0**-52
+            low = min(1.0, max(-1.0, kth)) - 2 * margin
+            if low > -1.0:
+                kept = list(compress(kept, map(operator.le, repeat(low), approx)))
+        q_at = dict(zip(*q.support)).get
+        scores = []
+        for i in kept:
+            indices, values = self.entries[i][1].support
+            dot = math.fsum(map(operator.mul, values, map(q_at, indices, repeat(0.0))))
+            scores.append(min(1.0, max(-1.0, dot / (q.norm * norms[i]))))
+        return kept, scores
 
 
 def build_index(
@@ -276,12 +375,15 @@ def search_top_k(
     fault = _norm_fault(q)
     if fault:
         raise MemoryIndexError(f"query embedded to {fault}")
-    dense = len(q.support[0]) == q.dim
-    dots = _row_dots(q, idx._values) if dense else idx._sparse_dots(q)
-    scores = _cosines(q, dots, idx._norms)
+    if len(q.support[0]) == q.dim:
+        positions: Sequence[int] = range(len(idx.entries))
+        scores = _cosines(q, _row_dots(q, idx._values), idx._norms)
+    else:
+        positions, scores = idx._sparse_scores(q, k)
     # The position breaks ties of equal ids, so records are never compared, and
     # keeps the order a stable sort gives.
-    kth = heapq.nlargest(k, scores)[-1]
+    kth = _kth_largest(scores, k)
     ids = idx.record_ids
-    ranked = sorted([(-s, ids[i], i) for i, s in enumerate(scores) if s >= kth])
-    return [(idx.entries[i][0], scores[i]) for _, _, i in ranked[:k]]
+    ranked = sorted([(-s, ids[i], i) for i, s in zip(positions, scores) if s >= kth])
+    # Negation is exact: each key gives back its score's bits.
+    return [(idx.entries[i][0], -neg) for neg, _, i in ranked[:k]]

@@ -33,11 +33,15 @@ from .memory import EmbeddingVector, MemoryIndexError
 from .runlog import RunLog
 
 API_KEY_ENV = "TRANSACT_API_KEY"
+TIMEOUT_ENV = "TRANSACT_TIMEOUT_MS"
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 DEFAULT_MODEL = "gpt-4o"
 DEFAULT_EMBEDDER_MODEL = "text-embedding-3-small"
 DEFAULT_TIMEOUT_MS = 30_000
+#: The longest request timeout in ms, about 24.8 days: a socket cannot wait
+#: much over 9e9 s, and a larger value would fail only at the first request.
+MAX_TIMEOUT_MS = 2**31 - 1
 #: How many times a failed HTTP request is retried, and the wait before each
 #: retry in seconds when the reply names none (see ``_Endpoint``).
 MAX_RETRIES = 2
@@ -348,11 +352,19 @@ class _Endpoint:
     """
 
     def __init__(self, config: ProviderConfig, api_key: str, path: str) -> None:
+        timeout_ms = config.timeout_ms
+        # bool is a subclass of int, so the type is compared exactly. Zero would
+        # make a socket non-blocking.
+        if type(timeout_ms) is not int or not 1 <= timeout_ms <= MAX_TIMEOUT_MS:
+            raise ProviderError(
+                f"{TIMEOUT_ENV} must be a positive integer (ms) of at most {MAX_TIMEOUT_MS}, "
+                f"got {timeout_ms!r}"
+            )
         if not api_key:
             raise ProviderError(
                 f"no API credential: set {API_KEY_ENV} before using the http backend"
             )
-        self._timeout_s = config.timeout_ms / 1000.0
+        self._timeout_s = timeout_ms / 1000.0
         self._url = f"{config.base_url.rstrip('/')}/{path}"
         self._connect, self._target, proxy_headers = _connector(self._url, self._timeout_s)
         self._headers = {
@@ -495,9 +507,11 @@ class HashEmbedder:
     Only the buckets a text fills are counted and normalized: the norm is the
     ``fsum`` of the non-zero squares, the same exactly rounded sum as over all
     ``dim`` squares, since the others are +0.0. The filled buckets become the
-    vector's support as they are, with no scan of all ``dim`` entries. Each
-    embedder remembers the bucket of up to ``_BUCKET_MEMO_SIZE`` tokens, so a
-    new embedder, as each ``transact run`` makes, starts with none.
+    vector's support as they are, and the vector holds only them: no tuple of
+    all ``dim`` entries is built or scanned unless something reads its
+    ``values``, which a sparse search never does. Each embedder remembers the
+    bucket of up to ``_BUCKET_MEMO_SIZE`` tokens, so a new embedder, as each
+    ``transact run`` makes, starts with none.
     """
 
     def __init__(self, dim: int = HASH_EMBED_DIM) -> None:

@@ -125,6 +125,9 @@ class TestCosine:
         # More than half of the entries filled: the whole vector, as a scan keeps it.
         dense = EmbeddingVector.sparse(3, [0, 2], [1.0, 2.0])
         assert dense.support == (range(3), dense.values) == vec(1, 0, 2).support
+        for indices in ([-1, 2], [1, 6]):
+            with pytest.raises(MemoryIndexError, match=r"support indices must lie in \[0, 6\)"):
+                EmbeddingVector.sparse(6, indices, [1.0, 2.0])
 
 
 class TestBuildIndex:
@@ -434,14 +437,16 @@ def test_search_equals_oracle_property(data):
         query = " ".join(rng.sample(WORDS, rng.randint(1, 3)))
     else:
         # Fixed vectors, sparse or dense, so a query of either kind scores both
-        # kinds; few distinct entry values, so equal scores are common.
+        # kinds; few distinct entry values, so equal scores are common, and of
+        # wide magnitude, so they cancel and naive sums differ from fsum.
         dim = data.draw(st.integers(1, 12))
+        pool = (-2.0, -0.5, 0.5, 1.0, 3.0, 1e16, -1e16, 2**-53, 1e-160)
 
         def draw() -> tuple[float, ...]:
             density = rng.choice((0.1, 0.3, 0.6, 1.0))
             while True:
                 v = tuple(
-                    rng.choice((-2.0, -0.5, 0.5, 1.0, 3.0, rng.gauss(0.0, 1.0)))
+                    rng.choice(pool + (rng.gauss(0.0, 1.0),))
                     if rng.random() < density
                     else 0.0
                     for _ in range(dim)
@@ -505,3 +510,76 @@ class TestBatchScorer:
         assert all(all(v) for v in vectors)
         for _ in range(3):
             self.search_case(draw(), vectors, k=7)
+
+    def test_exact_order_decides_where_naive_sums_swap_two_entries(self):
+        # Summed in dimension order, 1e16 + 3.0 and 1e16 + 4.9 both round to
+        # 1e16 + 4.0, so the naive cosines rank e00 above e01 and the exact ones
+        # rank it below; k = 1 falls between them.
+        query = (1e16, 1.0, -1e16, 0.0, 0.0, 0.0, 0.0, 0.0)
+        vectors = [
+            (1.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            (1.0, 4.9, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+            (-1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+        ]
+
+        def naive_cosine(a, b):
+            dot = 0.0
+            for x, y in zip(a, b):
+                dot += x * y
+            return dot / (vec(*a).norm * vec(*b).norm)
+
+        assert naive_cosine(query, vectors[0]) > naive_cosine(query, vectors[1])
+        assert cosine_oracle(query, vectors[0]) < cosine_oracle(query, vectors[1])
+        idx, embedder = self.search_case(query, vectors, k=1)
+        assert [rec.id for rec, _ in search_top_k(idx, "q", 1, embedder)] == ["e01"]
+
+    def test_subnormal_range_norms_score_every_entry_exactly(self):
+        # Squares of entries near 1e-160 underflow, so such norms lose precision
+        # and fall outside the range where the approximate scores' error bound
+        # holds. Whether the entries' norms or the query's fall there, every
+        # entry is scored exactly.
+        small = [
+            (3e-162, 3e-162, 0, 0), (1e-160, 0, 1e-160, 0), (3e-162, 0, 0, 0), (0, 1e-160, 0, 0)
+        ]
+        idx, _ = self.search_case((3e-162, 0.0, 0.0, 0.0), small, k=2)
+        assert not idx._norms_in_range
+        normal = [(1.0, 2.0, 0, 0), (0.5, 0, 1.0, 0), (1.0, 0, 0, 0), (0, 3.0, 0, 0)]
+        idx, _ = self.search_case((1e-160, 0.0, 0.0, 1e-160), normal, k=2)
+        assert idx._norms_in_range
+
+
+class TestLazyForms:
+    """A partition builds only the form of its entries its queries read."""
+
+    def test_sparse_queries_never_build_full_values(self):
+        seen: list[EmbeddingVector] = []
+
+        class Recording(HashEmbedder):
+            def embed(self, text: str) -> EmbeddingVector:
+                seen.append(super().embed(text))
+                return seen[-1]
+
+        embedder = Recording()
+        records = [
+            make_record(f"r{i:02d}", EgoState.ADULT, context=" ".join(WORDS[i : i + 3]))
+            for i in range(25)
+        ]
+        idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
+        for k in (1, 3, 25):
+            search_top_k(idx, "budget report error", k, embedder)
+        assert "_postings" in vars(idx)
+        assert "_values" not in vars(idx)
+        assert len(seen) == 28
+        assert not any("values" in vars(v) for v in seen)
+
+    def test_dense_queries_never_build_postings(self):
+        rng = random.Random(11)
+        table = {f"t{i}": tuple(rng.uniform(0.1, 1.0) for _ in range(16)) for i in range(30)}
+        embedder = FixedEmbedder(table, dim=16)
+        records = [make_record(t, EgoState.ADULT, context=t) for t in table]
+        idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
+        for query in list(table)[:3]:
+            assert_bit_identical_to_oracle(idx, query, 3, embedder)
+        assert "_values" in vars(idx)
+        assert "_postings" not in vars(idx)

@@ -6,6 +6,7 @@ import base64
 import contextlib
 import json
 import os
+import socket
 import sys
 import threading
 import time
@@ -276,6 +277,19 @@ class TestHttpProvider:
         provider = HttpProvider(config, api_key="test-key")
         with pytest.raises(ProviderError, match="failed"):
             provider.complete(MESSAGES)
+
+    # 10**16 ms is past what a socket timeout can hold, a negative one is
+    # refused by the socket, and zero would make it non-blocking.
+    @pytest.mark.parametrize("timeout_ms", [10**16, 2**31, -5, 0, True, 1.5])
+    def test_timeout_out_of_range_fails_at_construction(self, monkeypatch, timeout_ms):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        config = ProviderConfig(kind="http", base_url="http://127.0.0.1:9", timeout_ms=timeout_ms)
+        for backend in (HttpProvider, RemoteEmbedder):
+            with pytest.raises(ProviderError, match=f"TRANSACT_TIMEOUT_MS .* got {timeout_ms!r}$"):
+                backend(config, api_key="test-key")
 
     def test_call_is_recorded_like_a_scripted_call(self, stub_server):
         stub_server.script["/chat/completions"] = [(200, completion_payload("canned reply"))]
