@@ -30,29 +30,13 @@ from .core import (
     validate_scenario,
 )
 from .orchestrator import InvalidScenarioError, SimulationError, run_simulation
-from .provider import (
-    API_KEY_ENV,
-    MAX_TIMEOUT_MS,
-    TIMEOUT_ENV,
-    HashEmbedder,
-    HttpProvider,
-    CachingEmbedder,
-    ProviderConfig,
-    ProviderError,
-    RemoteEmbedder,
-    ScriptedProvider,
-    load_fixtures,
-)
+from .provider import HashEmbedder, ProviderError, ScriptedProvider, http_backend, load_fixtures
 from .runlog import RunLog
 
 EXIT_OK = 0
 EXIT_GATE = 1
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
-
-BASE_URL_ENV = "TRANSACT_BASE_URL"
-MODEL_ENV = "TRANSACT_MODEL"
-EMBEDDER_ENV = "TRANSACT_EMBEDDER"
 
 #: The search budget ``analyze`` audits against without --budget or --scenario.
 DEFAULT_AUDIT_BUDGET = 5
@@ -167,39 +151,15 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _build_backend(args: argparse.Namespace):
-    if args.provider == "scripted":
-        if not args.fixtures:
-            raise CliInputError("--provider scripted requires --fixtures")
-        try:
-            provider = ScriptedProvider(load_fixtures(args.fixtures))
-        except ProviderError as e:
-            raise CliInputError(str(e)) from e
-        return provider, HashEmbedder()
-    config = ProviderConfig(
-        kind="http",
-        base_url=os.environ.get(BASE_URL_ENV, ProviderConfig.base_url),
-        model=os.environ.get(MODEL_ENV, ProviderConfig.model),
-        embedder=os.environ.get(EMBEDDER_ENV, ProviderConfig.embedder),
-        timeout_ms=_timeout_ms(),
-    )
-    api_key = os.environ.get(API_KEY_ENV, "")
+    if args.provider == "scripted" and not args.fixtures:
+        raise CliInputError("--provider scripted requires --fixtures")
     try:
-        return HttpProvider(config, api_key), CachingEmbedder(RemoteEmbedder(config, api_key))
-    # A bad timeout or base URL, or no credential: checked before any request.
+        if args.provider == "scripted":
+            return ScriptedProvider(load_fixtures(args.fixtures)), HashEmbedder()
+        return http_backend(os.environ)
+    # Bad fixtures, a bad timeout or base URL, or no credential: before any request.
     except ProviderError as e:
         raise CliInputError(str(e)) from e
-
-
-def _timeout_ms() -> int:
-    """The request timeout in ms as an integer; the http backends check its range."""
-    raw = os.environ.get(TIMEOUT_ENV, str(ProviderConfig.timeout_ms))
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliInputError(
-            f"{TIMEOUT_ENV} must be a positive integer (ms) of at most {MAX_TIMEOUT_MS}, "
-            f"got {raw!r}"
-        ) from None
 
 
 def _summary_line(u: Utterance) -> str:
@@ -231,6 +191,13 @@ def _write_out(t: Transcript, args: argparse.Namespace, run_log: RunLog) -> byte
     return data
 
 
+def _read_line(prompt: str) -> str:
+    """``input`` with its prompt on stderr, as bash's ``read -p`` writes it, so
+    stdout holds only the run's own lines."""
+    print(prompt, end="", file=sys.stderr, flush=True)
+    return input()
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """``run``, or ``interactive`` when ``--as`` names the agent typed at the
     terminal: then each other utterance is shown as it arrives. A failed run
@@ -252,7 +219,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     try:
         transcript = run_simulation(
-            cfg, provider, embedder, run_log=run_log, human_agent=human, input_fn=input,
+            cfg, provider, embedder, run_log=run_log, human_agent=human, input_fn=_read_line,
             on_utterance=show if human is not None else None,
         )
     except SimulationError as e:

@@ -40,6 +40,7 @@ class MalformedStepError(ValueError):
 @dataclass(frozen=True)
 class SearchMemories:
     query: str
+    thought: str | None  # the answer, should the spent budget force one here
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,6 @@ class FinalAnswer:
     text: str
     emotion: str
     tone: str
-
-
-@dataclass(frozen=True)
-class ReactStep:
-    thought: str | None
-    action: SearchMemories | FinalAnswer | None
 
 
 @dataclass(frozen=True)
@@ -76,15 +71,16 @@ class EgoTurnOutcome:
     malformed_steps: int
 
 
-def parse_react_step(raw: str) -> ReactStep:
+def parse_react_step(raw: str) -> SearchMemories | FinalAnswer:
     """Parse one completion into a step.
 
     Grammar, all prefixes case-sensitive at start of line: an optional
     "Thought:" line; either "Action: search_memories" followed by
     "Action Input: <query>", or "Final Answer:" followed by "Text:",
     "Emotion:", "Tone:" lines (missing emotion or tone defaults to
-    "unspecified"). Text with neither directive degrades gracefully to a
-    final answer carrying the whole raw text.
+    "unspecified"; a final answer with no text says the thought, else the raw
+    text). Text with neither directive degrades gracefully to a final answer
+    carrying the whole raw text.
 
     Raises MalformedStepError for a search action without a non-empty
     Action Input.
@@ -97,19 +93,20 @@ def parse_react_step(raw: str) -> ReactStep:
             break
     for i, line in enumerate(lines):
         if line.startswith("Final Answer:"):
-            return ReactStep(thought, _parse_final_answer(lines, i))
+            text, emotion, tone = _parse_final_answer(lines, i)
+            return FinalAnswer(text or thought or raw, emotion, tone)
         if line.startswith("Action:") and line[len("Action:"):].strip() == "search_memories":
             for later in lines[i + 1 :]:
                 if later.startswith("Action Input:"):
                     query = later[len("Action Input:"):].strip()
                     if query:
-                        return ReactStep(thought, SearchMemories(query))
+                        return SearchMemories(query, thought)
                     break
             raise MalformedStepError("Action: search_memories requires a non-empty Action Input")
-    return ReactStep(thought, FinalAnswer(raw, UNSPECIFIED, UNSPECIFIED))
+    return FinalAnswer(raw, UNSPECIFIED, UNSPECIFIED)
 
 
-def _parse_final_answer(lines: list[str], start: int) -> FinalAnswer:
+def _parse_final_answer(lines: list[str], start: int) -> tuple[str, str, str]:
     inline = lines[start][len("Final Answer:"):].strip()
     text_parts: list[str] | None = None
     collecting = False
@@ -134,7 +131,7 @@ def _parse_final_answer(lines: list[str], start: int) -> FinalAnswer:
         # No Text: line; fall back to the inline remainder, then the bare block.
         body = [line for line in lines[start + 1 :] if not line.startswith(("Emotion:", "Tone:"))]
         text = inline or "\n".join(body).strip()
-    return FinalAnswer(text, emotion or UNSPECIFIED, tone or UNSPECIFIED)
+    return text, emotion or UNSPECIFIED, tone or UNSPECIFIED
 
 
 def format_observation(hits: list) -> str:
@@ -175,14 +172,6 @@ def _system_prompt(ctx: EgoTurnContext) -> str:
     )
 
 
-def _fallback_text(step: ReactStep, raw: str) -> str:
-    if step.thought:
-        return step.thought
-    if raw.strip():
-        return raw.strip()
-    return _EMPTY_FALLBACK
-
-
 def run_ego_turn(
     ctx: EgoTurnContext,
     ego: EgoState,
@@ -210,19 +199,23 @@ def run_ego_turn(
         ChatMessage(Role.SYSTEM, _system_prompt(ctx)),
         ChatMessage(Role.USER, _KICKOFF),
     ]
-    searches = 0
-    malformed = 0
     retrieval: list[RetrievalEvent] = []
-    memories_used: list[str] = []
+    malformed = 0
 
-    def finish(text: str, emotion: str, tone: str) -> EgoTurnOutcome:
+    def record(action: str, **fields: object) -> None:
+        run_log.record(
+            "react_step", agent=ctx.agent, ego=ego.value, turn=ctx.turn,
+            action=action, searches=len(retrieval), **fields,
+        )
+
+    def finish(text: str, emotion: str = UNSPECIFIED, tone: str = UNSPECIFIED) -> EgoTurnOutcome:
         response = EgoResponse(
             ego_state=ego,
             text=text.strip() or _EMPTY_FALLBACK,
-            emotion=emotion or UNSPECIFIED,
-            tone=tone or UNSPECIFIED,
-            memories_used=tuple(memories_used),
-            searches_performed=searches,
+            emotion=emotion,
+            tone=tone,
+            memories_used=tuple(dict.fromkeys(rid for e in retrieval for rid in e.hit_ids)),
+            searches_performed=len(retrieval),
         )
         assert response.searches_performed <= ctx.tool_budget
         return EgoTurnOutcome(response, tuple(retrieval), malformed)
@@ -233,57 +226,35 @@ def run_ego_turn(
             step = parse_react_step(raw)
         except MalformedStepError as e:
             malformed += 1
-            run_log.record(
-                "react_step", agent=ctx.agent, ego=ego.value, turn=ctx.turn,
-                action="malformed", searches=searches,
-            )
+            record("malformed")
             if malformed >= 2:
-                return finish(_fallback_text(ReactStep(None, None), raw), "", "")
+                return finish(raw)
             logger.warning("malformed step for %s/%s: %s", ctx.agent, ego.value, e)
             messages.append(ChatMessage(Role.ASSISTANT, raw))
             messages.append(ChatMessage(Role.USER, _MALFORMED_NOTE))
             continue
 
-        if isinstance(step.action, FinalAnswer):
-            run_log.record(
-                "react_step", agent=ctx.agent, ego=ego.value, turn=ctx.turn,
-                action="final_answer", searches=searches,
-            )
-            return finish(
-                step.action.text or _fallback_text(step, raw),
-                step.action.emotion,
-                step.action.tone,
-            )
-
-        assert isinstance(step.action, SearchMemories)
-        if searches >= ctx.tool_budget:
+        if isinstance(step, FinalAnswer):
+            record("final_answer")
+            return finish(step.text, step.emotion, step.tone)
+        if len(retrieval) >= ctx.tool_budget:
             # Budget spent and the directive was ignored: coerce to an answer.
-            run_log.record(
-                "react_step", agent=ctx.agent, ego=ego.value, turn=ctx.turn,
-                action="coerced_final", searches=searches,
-            )
-            return finish(_fallback_text(step, raw), "", "")
+            record("coerced_final")
+            return finish(step.thought or raw)
 
-        hits = search_top_k(index, step.action.query, ctx.k, embedder)
-        searches += 1
+        hits = search_top_k(index, step.query, ctx.k, embedder)
         retrieval.append(
             RetrievalEvent(
                 ego_state=ego,
-                query=step.action.query,
+                query=step.query,
                 hit_ids=tuple(rec.id for rec, _ in hits),
                 scores=tuple(score for _, score in hits),
             )
         )
-        for rec, _ in hits:
-            if rec.id not in memories_used:
-                memories_used.append(rec.id)
-        run_log.record(
-            "react_step", agent=ctx.agent, ego=ego.value, turn=ctx.turn,
-            action="search", query=step.action.query, hits=len(hits), searches=searches,
-        )
+        record("search", query=step.query, hits=len(hits))
         messages.append(ChatMessage(Role.ASSISTANT, raw))
         messages.append(ChatMessage(Role.USER, f"Observation:\n{format_observation(hits)}"))
-        if searches == ctx.tool_budget:
+        if len(retrieval) == ctx.tool_budget:
             messages.append(ChatMessage(Role.USER, _BUDGET_EXHAUSTED_NOTE))
 
     raise AssertionError("ego turn failed to finalize within tool_budget + 2 calls")

@@ -8,9 +8,10 @@ of the products over the product of the norms, each the square root of an
 platforms and independent of accumulation order; that keeps canonical
 transcripts byte-stable everywhere.
 
-A vector from ``EmbeddingVector.sparse``, as the hash embedder makes them,
-holds only its support: the ascending indices of its non-zero entries and
-their values. Its tuple of all ``dim`` values is built only when read.
+A vector with at most half of its entries non-zero, as the hash embedder
+makes them, holds only its support: the ascending indices of its non-zero
+entries and their values. Its tuple of all ``dim`` values is built only when
+read.
 
 A query whose support covers every index, as a real embedding model's output
 does, is walked row by row: each entry's values against the query's, in
@@ -73,9 +74,9 @@ every entry would rank them. The k-th best exact score is found first, and
 only the entries scoring at least that, ties included, get a key.
 
 Vectors and index entries never change after build. What is built on first
-use by ``cached_property`` (a vector's values, support and norm; an index's
-values, postings, record ids and norm check) is a pure function of them, so
-two threads that race on a first use build equal copies and either serves.
+use by ``cached_property`` (a vector's values and norm; an index's values,
+postings, record ids and norm check) is a pure function of them, so two
+threads that race on a first use build equal copies and either serves.
 Nothing else is written, so concurrent searches need no lock.
 """
 
@@ -110,22 +111,36 @@ def _check_finite(values: Sequence[float]) -> None:
 
 class EmbeddingVector:
     """An immutable vector of ``dim`` finite floats; equal entries make equal
-    vectors, however each was built."""
+    vectors, however each was built.
+
+    ``support`` holds ascending indices covering every non-zero entry, and
+    their values. A vector with more than half of its entries non-zero keeps
+    ``values``, and its support is ``range(dim)`` and ``values`` itself.
+    """
 
     dim: int
+    support: tuple[Sequence[int], Sequence[float]]
 
     def __init__(self, values: tuple[float, ...]) -> None:
         if not values:
             raise MemoryIndexError("embedding must have at least one dimension")
         _check_finite(values)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "dim", len(values))
+        dim = len(values)
+        object.__setattr__(self, "dim", dim)
+        if 2 * (dim - values.count(0.0)) > dim:
+            object.__setattr__(self, "values", values)
+            object.__setattr__(self, "support", (range(dim), values))
+            return
+        # Lists, not tuples: CPython keeps up to 2,000 freed tuples of each length
+        # below 20 on free lists for reuse; supports freed after each search filled
+        # them and raised the peak RSS of repeated runs by about 1 MB.
+        indices = list(compress(range(dim), values))
+        object.__setattr__(self, "support", (indices, list(map(values.__getitem__, indices))))
 
     @classmethod
     def sparse(cls, dim: int, indices: Sequence[int], values: Sequence[float]) -> EmbeddingVector:
         """The vector of ``dim`` entries that holds ``values`` at the ascending
-        ``indices`` and 0.0 elsewhere, kept as that support: the full
-        ``values`` tuple is built only when read."""
+        ``indices`` and 0.0 elsewhere."""
         if dim < 1:
             raise MemoryIndexError("embedding must have at least one dimension")
         if indices and not 0 <= indices[0] <= indices[-1] < dim:
@@ -134,7 +149,7 @@ class EmbeddingVector:
         vec = cls.__new__(cls)
         object.__setattr__(vec, "dim", dim)
         object.__setattr__(vec, "support", (list(indices), list(values)))
-        # More than half filled: the whole vector, as ``support`` keeps it.
+        # More than half filled: the whole vector, as ``__init__`` keeps it.
         return cls(vec.values) if 2 * len(indices) > dim else vec
 
     @cached_property
@@ -145,26 +160,9 @@ class EmbeddingVector:
         return tuple(full)
 
     @cached_property
-    def support(self) -> tuple[Sequence[int], Sequence[float]]:
-        """Ascending indices covering every non-zero entry, and their values.
-
-        A vector with more than half of its entries non-zero keeps them all:
-        ``range(dim)`` and ``values`` itself, so a dense vector gets no index list or copy.
-        """
-        if 2 * (self.dim - self.values.count(0.0)) > self.dim:
-            return range(self.dim), self.values
-        # Lists, not tuples: CPython keeps up to 2,000 freed tuples of each length
-        # below 20 on free lists for reuse; supports freed after each search filled
-        # them and raised the peak RSS of repeated runs by about 1 MB.
-        indices = list(compress(range(self.dim), self.values))
-        return indices, list(map(self.values.__getitem__, indices))
-
-    @cached_property
     def norm(self) -> float:
-        # A vector with no zero entry squares its values, so it never builds a
-        # support; fsum keeps no zero square, so both give the same bits.
-        full = "support" not in self.__dict__ and 0.0 not in self.values
-        values = self.values if full else self.support[1]
+        # fsum keeps no zero square, so the support's squares give the bits of all dim.
+        values = self.support[1]
         try:
             return math.sqrt(math.fsum(map(operator.mul, values, values)))
         except OverflowError:  # the squares' exact sum is beyond the float range

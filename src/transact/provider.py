@@ -27,12 +27,15 @@ from enum import Enum
 from functools import lru_cache, partial
 from hashlib import blake2b
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .memory import EmbeddingVector, MemoryIndexError
 from .runlog import RunLog
 
 API_KEY_ENV = "TRANSACT_API_KEY"
+BASE_URL_ENV = "TRANSACT_BASE_URL"
+MODEL_ENV = "TRANSACT_MODEL"
+EMBEDDER_ENV = "TRANSACT_EMBEDDER"
 TIMEOUT_ENV = "TRANSACT_TIMEOUT_MS"
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
@@ -334,6 +337,12 @@ def _close_all(connections: list[http.client.HTTPConnection]) -> None:
         connections.pop().close()
 
 
+def _bad_timeout(got: object) -> ProviderError:
+    return ProviderError(
+        f"{TIMEOUT_ENV} must be a positive integer (ms) of at most {MAX_TIMEOUT_MS}, got {got!r}"
+    )
+
+
 class _Endpoint:
     """One authenticated JSON endpoint of an HTTP client: POST {base_url}/{path}.
 
@@ -356,10 +365,7 @@ class _Endpoint:
         # bool is a subclass of int, so the type is compared exactly. Zero would
         # make a socket non-blocking.
         if type(timeout_ms) is not int or not 1 <= timeout_ms <= MAX_TIMEOUT_MS:
-            raise ProviderError(
-                f"{TIMEOUT_ENV} must be a positive integer (ms) of at most {MAX_TIMEOUT_MS}, "
-                f"got {timeout_ms!r}"
-            )
+            raise _bad_timeout(timeout_ms)
         if not api_key:
             raise ProviderError(
                 f"no API credential: set {API_KEY_ENV} before using the http backend"
@@ -610,3 +616,26 @@ class CachingEmbedder:
             del self._in_flight[text]
         call.set_result(vec)
         return vec
+
+
+def http_backend(environ: Mapping[str, str]) -> tuple[HttpProvider, CachingEmbedder]:
+    """The http chat provider and caching remote embedder that the
+    ``TRANSACT_*`` variables in ``environ`` configure.
+
+    A bad timeout or base URL, or no credential, is a ``ProviderError`` here,
+    before any request.
+    """
+    raw = environ.get(TIMEOUT_ENV, str(DEFAULT_TIMEOUT_MS))
+    try:
+        timeout_ms = int(raw)
+    except ValueError:
+        raise _bad_timeout(raw) from None
+    config = ProviderConfig(
+        kind="http",
+        base_url=environ.get(BASE_URL_ENV, DEFAULT_BASE_URL),
+        model=environ.get(MODEL_ENV, DEFAULT_MODEL),
+        embedder=environ.get(EMBEDDER_ENV, DEFAULT_EMBEDDER_MODEL),
+        timeout_ms=timeout_ms,
+    )
+    api_key = environ.get(API_KEY_ENV, "")
+    return HttpProvider(config, api_key), CachingEmbedder(RemoteEmbedder(config, api_key))

@@ -47,7 +47,7 @@ from transact.core import (
 )
 from transact.memory import build_index, search_top_k
 from transact.orchestrator import run_simulation
-from transact.provider import HashEmbedder, ScriptedProvider, load_fixtures
+from transact.provider import HashEmbedder, ScriptedProvider, http_backend, load_fixtures
 from transact.runlog import RunLog
 
 # Frozen reference hash of the bundled scenario's scripted run. Identical on
@@ -269,23 +269,9 @@ needs_live = pytest.mark.skipif(
 
 @needs_live
 def test_criterion_8_live_smoke():
-    from transact.provider import CachingEmbedder, ProviderConfig, RemoteEmbedder, HttpProvider
-
-    config = ProviderConfig(
-        kind="http",
-        base_url=os.environ.get("TRANSACT_BASE_URL", ProviderConfig.base_url),
-        model=os.environ.get("TRANSACT_MODEL", ProviderConfig.model),
-        embedder=os.environ.get("TRANSACT_EMBEDDER", ProviderConfig.embedder),
-    )
-    api_key = os.environ["TRANSACT_API_KEY"]
     cfg = parse_scenario(asset_path("stupid.json").read_text(encoding="utf-8"))
     log = RunLog()
-    transcript = run_simulation(
-        cfg,
-        HttpProvider(config, api_key),
-        CachingEmbedder(RemoteEmbedder(config, api_key)),
-        run_log=log,
-    )
+    transcript = run_simulation(cfg, *http_backend(os.environ), run_log=log)
     assert len(transcript.utterances) == 10
     turns_with_fallbacks = {
         e["turn"] for e in log.events if e["kind"] == "react_step" and e["action"] == "malformed"

@@ -5,9 +5,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import transact
 
 from conftest import asset_path
 from helpers import (
@@ -233,6 +239,28 @@ class TestRun:
         # No provider call was made, and nothing was written.
         assert [p.remaining() for p in built] == [len(simple_run_fixtures(cfg))]
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_prompt_goes_to_stderr_so_stdout_keeps_only_the_run(self, tmp_path):
+        src = str(Path(transact.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "transact", "interactive", "--as", "Jordan",
+                "--scenario", str(asset_path("stupid.json")),
+                "--fixtures", str(asset_path("stupid_fixtures.json")),
+                "--out", str(tmp_path / "mine.json"),
+            ],
+            input="I think we should look at the numbers together.\n",
+            capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Jordan> " in proc.stderr
+        assert [line for line in proc.stdout.splitlines() if "Jordan> " in line] == []
+        data = (tmp_path / "mine.json").read_bytes()
+        assert proc.stdout.splitlines()[-1] == (
+            f"transcript hash: {hashlib.sha256(data).hexdigest()}"
+        )
 
     def test_fixture_underrun_is_runtime_error_with_partial_transcript(
         self, tmp_path, scenario_file, capsys
@@ -568,6 +596,28 @@ class TestInteractive:
             + f"transcript written to {out}\n"
             + f"transcript hash: {hashlib.sha256(data).hexdigest()}\n",
         ]
+
+    def test_prompt_goes_to_stderr_so_stdout_keeps_only_the_run(self, tmp_path):
+        src = str(Path(transact.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "transact", "interactive", "--as", "Jordan",
+                "--scenario", str(asset_path("stupid.json")),
+                "--fixtures", str(asset_path("stupid_fixtures.json")),
+                "--out", str(tmp_path / "mine.json"),
+            ],
+            input="I think we should look at the numbers together.\n",
+            capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Jordan> " in proc.stderr
+        assert [line for line in proc.stdout.splitlines() if "Jordan> " in line] == []
+        data = (tmp_path / "mine.json").read_bytes()
+        assert proc.stdout.splitlines()[-1] == (
+            f"transcript hash: {hashlib.sha256(data).hexdigest()}"
+        )
 
     def test_fixture_underrun_is_runtime_error_with_partial_transcript(
         self, tmp_path, monkeypatch, capsys

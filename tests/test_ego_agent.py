@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import WORDS, final_step, make_record, search_step
 from transact.core import EgoState
@@ -31,7 +33,7 @@ class TestParseReactStep:
         )
         step = parse_react_step(raw)
         assert step.thought == "I've seen this before."
-        assert step.action == SearchMemories("criticized for report errors")
+        assert step == SearchMemories("criticized for report errors", "I've seen this before.")
 
     def test_final_answer_block(self):
         raw = (
@@ -41,27 +43,33 @@ class TestParseReactStep:
             "Tone: helpless"
         )
         step = parse_react_step(raw)
-        assert step.action == FinalAnswer(
+        assert step == FinalAnswer(
             "Everything is spinning and I cannot fix this alone!", "panic", "helpless"
         )
 
     def test_missing_emotion_and_tone_default(self):
         step = parse_react_step("Final Answer:\nText: fine.")
-        assert step.action == FinalAnswer("fine.", "unspecified", "unspecified")
+        assert step == FinalAnswer("fine.", "unspecified", "unspecified")
 
     def test_multiline_text_block(self):
         raw = "Final Answer:\nText: first line\nsecond line\nEmotion: calm\nTone: dry"
-        assert parse_react_step(raw).action == FinalAnswer(
+        assert parse_react_step(raw) == FinalAnswer(
             "first line\nsecond line", "calm", "dry"
         )
 
     def test_inline_final_answer_remainder(self):
         step = parse_react_step("Final Answer: just this sentence")
-        assert step.action == FinalAnswer("just this sentence", "unspecified", "unspecified")
+        assert step == FinalAnswer("just this sentence", "unspecified", "unspecified")
 
     def test_prose_without_markers_degrades_to_final_answer(self):
         raw = "I suppose the totals worry me, honestly."
-        assert parse_react_step(raw).action == FinalAnswer(raw, "unspecified", "unspecified")
+        assert parse_react_step(raw) == FinalAnswer(raw, "unspecified", "unspecified")
+
+    def test_final_answer_without_text_says_the_thought_else_the_raw_text(self):
+        raw = "Thought: I should own it.\nFinal Answer:\nEmotion: calm"
+        assert parse_react_step(raw) == FinalAnswer("I should own it.", "calm", "unspecified")
+        raw = "Final Answer:\nEmotion: calm\nTone: dry"
+        assert parse_react_step(raw) == FinalAnswer(raw, "calm", "dry")
 
     def test_fuzz_marker_free_strings_always_parse_to_fallback(self):
         rng = random.Random(12)
@@ -69,7 +77,7 @@ class TestParseReactStep:
         for _ in range(1000):
             raw = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
             step = parse_react_step(raw)
-            assert step.action == FinalAnswer(raw, "unspecified", "unspecified")
+            assert step == FinalAnswer(raw, "unspecified", "unspecified")
 
     def test_missing_action_input_is_malformed(self):
         with pytest.raises(MalformedStepError):
@@ -79,20 +87,21 @@ class TestParseReactStep:
 
     def test_prefixes_are_case_sensitive_and_line_anchored(self):
         raw = "thought: lower\naction: search_memories\nSee Final Answer: inline mention"
-        step = parse_react_step(raw)
+        assert parse_react_step(raw) == FinalAnswer(raw, "unspecified", "unspecified")
+        step = parse_react_step("thought: lower\nAction: search_memories\nAction Input: q")
         assert step.thought is None
-        assert step.action == FinalAnswer(raw, "unspecified", "unspecified")
+        assert step == SearchMemories("q", None)
 
     def test_first_directive_wins(self):
         raw = (
             "Final Answer:\nText: answered\n"
             "Action: search_memories\nAction Input: too late"
         )
-        assert isinstance(parse_react_step(raw).action, FinalAnswer)
+        assert isinstance(parse_react_step(raw), FinalAnswer)
 
     def test_unknown_action_degrades_to_final_answer(self):
         raw = "Action: web_search\nAction Input: nope"
-        assert parse_react_step(raw).action == FinalAnswer(raw, "unspecified", "unspecified")
+        assert parse_react_step(raw) == FinalAnswer(raw, "unspecified", "unspecified")
 
 
 class TestFormatObservation:
@@ -305,3 +314,98 @@ class TestRunEgoTurn:
         assert outcome.response.searches_performed == 2
         last_prompt = provider.call_log[2].messages
         assert any("budget exhausted" in m.content.lower() for m in last_prompt)
+
+
+_PHRASE = st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join)
+#: One drawn reply: its kind, the words of its query or text, its thought
+#: line (None for no line), and whether a final answer carries a Text: line.
+_REPLY = st.tuples(
+    st.sampled_from(("search", "malformed", "final", "prose")),
+    _PHRASE,
+    st.none() | _PHRASE,
+    st.booleans(),
+)
+
+
+def render_reply(kind: str, words: str, thought: str | None, with_text: bool) -> str:
+    head = f"Thought: {thought}\n" if thought is not None else ""
+    if kind == "search":
+        return f"{head}Action: search_memories\nAction Input: {words}"
+    if kind == "malformed":
+        return f"{head}Action: search_memories\nAction Input:"
+    if kind == "final":
+        text = f"Text: {words}\n" if with_text else ""
+        return f"{head}Final Answer:\n{text}Emotion: calm\nTone: dry"
+    return words
+
+
+def ego_turn_oracle(replies, budget: int):
+    """What one ego turn must do with these replies, walked from the protocol
+    alone: (calls, queries, malformed steps, react_step actions with the search
+    count after each, and the final (text, emotion, tone))."""
+    queries: list[str] = []
+    actions: list[tuple[str, int]] = []
+    malformed = 0
+    for calls, (kind, words, thought, with_text) in enumerate(replies, start=1):
+        raw = render_reply(kind, words, thought, with_text)
+        if kind == "malformed":
+            malformed += 1
+            actions.append(("malformed", len(queries)))
+            if malformed == 2:  # the second malformed step ends the turn on its raw text
+                final = (raw.strip(), "unspecified", "unspecified")
+                break
+        elif kind == "search" and len(queries) < budget:
+            queries.append(words)
+            actions.append(("search", len(queries)))
+        elif kind == "search":  # over budget: the thought, else the raw text
+            actions.append(("coerced_final", len(queries)))
+            final = (thought or raw.strip(), "unspecified", "unspecified")
+            break
+        elif kind == "final":
+            actions.append(("final_answer", len(queries)))
+            final = (words if with_text else thought or raw.strip(), "calm", "dry")
+            break
+        else:
+            actions.append(("final_answer", len(queries)))
+            final = (raw, "unspecified", "unspecified")
+            break
+    else:
+        raise AssertionError("no reply ended the turn")
+    return calls, queries, malformed, actions, final
+
+
+class TestRunEgoTurnProperty:
+    INDEX = child_index()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        budget=st.integers(1, 4),
+        k=st.integers(1, 3),
+        replies=st.lists(_REPLY, min_size=7, max_size=7),
+    )
+    def test_any_replies_end_within_budget_as_the_oracle_predicts(self, budget, k, replies):
+        provider = ScriptedProvider(
+            [("Jordan/Child", render_reply(*reply)) for reply in replies]
+        )
+        log = RunLog()
+        outcome = run_ego_turn(
+            make_ctx(budget=budget, k=k), EgoState.CHILD, self.INDEX, provider,
+            HashEmbedder(), log,
+        )
+        calls, queries, malformed, actions, final = ego_turn_oracle(replies, budget)
+        assert calls <= budget + 2
+        assert log.count("provider_call") == calls
+        assert provider.remaining() == len(replies) - calls
+        r = outcome.response
+        assert (r.text, r.emotion, r.tone) == final
+        assert r.searches_performed == len(queries) <= budget
+        assert outcome.malformed_steps == malformed
+        assert [e.query for e in outcome.retrieval] == queries
+        assert all(len(e.hit_ids) == k for e in outcome.retrieval)
+        hits = [rid for e in outcome.retrieval for rid in e.hit_ids]
+        assert r.memories_used == tuple(dict.fromkeys(hits))
+        steps = [e for e in log.events if e["kind"] == "react_step"]
+        assert [(e["action"], e["searches"]) for e in steps] == actions
+        assert [(e["query"], e["hits"]) for e in steps if e["action"] == "search"] == [
+            (q, k) for q in queries
+        ]

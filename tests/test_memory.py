@@ -583,3 +583,21 @@ class TestLazyForms:
             assert_bit_identical_to_oracle(idx, query, 3, embedder)
         assert "_values" in vars(idx)
         assert "_postings" not in vars(idx)
+
+    def test_mostly_zero_values_keep_only_their_support(self):
+        values = (0.0, 0.5, 0.0, 0.0, -2.0, 0.0, 0.0, 0.0)
+        vec = EmbeddingVector(values)
+        assert "values" not in vars(vec)
+        assert vec.support == ([1, 4], [0.5, -2.0])
+        assert vec.norm == EmbeddingVector.sparse(8, [1, 4], [0.5, -2.0]).norm
+        assert "values" not in vars(vec)
+        assert vec == EmbeddingVector.sparse(8, [1, 4], [0.5, -2.0])
+        assert vec.values == values
+
+    def test_denser_values_are_their_own_support(self):
+        values = (0.0, 0.5, 1.0, 0.25, -2.0)
+        vec = EmbeddingVector(values)
+        assert vars(vec)["values"] is values
+        assert vec.support == (range(5), values)
+        assert vec.support[1] is values
+        assert vec == EmbeddingVector.sparse(5, [1, 2, 3, 4], [0.5, 1.0, 0.25, -2.0])
