@@ -195,7 +195,11 @@ def _read_line(prompt: str) -> str:
     """``input`` with its prompt on stderr, as bash's ``read -p`` writes it, so
     stdout holds only the run's own lines."""
     print(prompt, end="", file=sys.stderr, flush=True)
-    return input()
+    try:
+        return input()
+    except EOFError:
+        print(file=sys.stderr)  # ends the prompt's open line
+        raise
 
 
 def cmd_run(args: argparse.Namespace) -> int:

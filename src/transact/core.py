@@ -706,7 +706,7 @@ def _record_codec(cls: type) -> tuple[_Reader, _Writer]:
     return ns["read"], ns["write"]
 
 
-def _read_document(tp: type, text: str, error: type[ValueError], root: str) -> Any:
+def _read_document(tp: Any, text: str, error: type[ValueError], root: str) -> Any:
     try:
         tree = json.loads(text)
     except json.JSONDecodeError as e:

@@ -13,6 +13,11 @@ makes them, holds only its support: the ascending indices of its non-zero
 entries and their values. Its tuple of all ``dim`` values is built only when
 read.
 
+Every vector that is scored, the query and each entry, has a norm in
+[2**-400, 2**400]. The index build, the query and ``cosine_similarity``
+reject any other vector as they reject one whose norm is zero or not finite;
+hash-embedded vectors are unit-norm, and so are a real model's.
+
 A query whose support covers every index, as a real embedding model's output
 does, is walked row by row: each entry's values against the query's, in
 chained C-level ``map`` calls. Any other query is scored through the index's
@@ -41,10 +46,9 @@ term is +0.0.
 Step 4 is a floating-point filter with exact verification (Shewchuk 1997):
 the approximate score decides only where a proven error bound shows it
 cannot change the answer. Let u = 2**-53, p_j the rounded products, S their
-exact sum and c_i the exact score, and let every norm, the query's and each
-entry's, lie in [2**-400, 2**400]. Then no sum or product overflows, and an
-underflowing product or square errs by at most 2**-1075, far below
-u * |q| * |e|; the bounds below absorb it.
+exact sum and c_i the exact score. Every norm lies in [2**-400, 2**400], so no
+sum or product overflows, and an underflowing product or square errs by at
+most 2**-1075, far below u * |q| * |e|; the bounds below absorb it.
 
 - By Cauchy-Schwarz, the sum of the |p_j| is at most (1 + u) |q| |e| = B.
 - ``fsum`` gives D with |D - S| <= u |S|. Naive summation of at most m terms
@@ -60,13 +64,12 @@ clamped ``a_i`` has a clamped exact score of at least T - E. An entry left
 out has ``a_i`` below T - 2M as computed, which exceeds the exact difference
 by at most u (1 + 2M), so its clamped exact score is below
 T - 2M + u (1 + 2M) + E <= T - E while m < 2**24: strictly lower, and it
-ranks below at least k entries whatever its id. When T - 2M <= -1 every entry is kept, since clamped scores may tie
-at -1; when a norm lies outside the range above, every entry is kept too,
-which is exact scoring of every entry.
+ranks below at least k entries whatever its id. When T - 2M <= -1 every entry
+is kept, since clamped scores may tie at -1.
 
 Rounding can put a cosine just outside [-1, 1]: the raw self-cosine of
-(1, 1, 1) is 1.0000000000000002. Every norm is checked finite and non-zero, so
-no score is NaN, and the clamp ``min(1.0, max(-1.0, x))`` leaves every score
+(1, 1, 1) is 1.0000000000000002. No norm is zero or infinite, so no score is
+NaN, and the clamp ``min(1.0, max(-1.0, x))`` leaves every score
 in [-1, 1] as it is.
 
 The top k are ranked by the keys (-score, id, position), as a full sort of
@@ -75,8 +78,8 @@ only the entries scoring at least that, ties included, get a key.
 
 Vectors and index entries never change after build. What is built on first
 use by ``cached_property`` (a vector's values and norm; an index's values,
-postings, record ids and norm check) is a pure function of them, so two
-threads that race on a first use build equal copies and either serves.
+postings and record ids) is a pure function of them, so two threads that
+race on a first use build equal copies and either serves.
 Nothing else is written, so concurrent searches need no lock.
 """
 
@@ -97,9 +100,9 @@ class MemoryIndexError(ValueError):
     """Raised for bad vectors, mixed partitions, or embedder failures at build."""
 
 
-#: The sparse filter's error bound holds while every norm lies in this range.
-_FILTER_MIN_NORM = 2.0**-400
-_FILTER_MAX_NORM = 2.0**400
+#: Every scored vector's norm lies in this range, where the sparse filter's error bound holds.
+_MIN_NORM = 2.0**-400
+_MAX_NORM = 2.0**400
 
 
 def _check_finite(values: Sequence[float]) -> None:
@@ -193,11 +196,13 @@ class Embedder(Protocol):
 
 
 def _norm_fault(vec: EmbeddingVector) -> str | None:
-    """Why a cosine with ``vec`` is undefined, or None if it is defined."""
+    """Why ``vec``'s norm is outside the domain of scoring, or None if it is inside."""
     if vec.norm == 0.0:
         return "a zero-norm vector"
     if vec.norm == math.inf:
         return "a vector whose norm is not finite"
+    if not _MIN_NORM <= vec.norm <= _MAX_NORM:
+        return "a vector whose norm lies outside [2**-400, 2**400]"
     return None
 
 
@@ -286,11 +291,6 @@ class MemoryIndex:
                     postings[d] = ([i], [v])
         return postings
 
-    @cached_property
-    def _norms_in_range(self) -> bool:
-        """Whether every entry's norm lies where the sparse filter's error bound holds."""
-        return all(_FILTER_MIN_NORM <= norm <= _FILTER_MAX_NORM for norm in self._norms)
-
     def _sparse_scores(self, q: EmbeddingVector, k: int) -> tuple[Sequence[int], list[float]]:
         """The positions of the entries that may rank in the top k for a
         sparse query, and their exact cosines, clamped: steps 1 to 4 of the
@@ -304,15 +304,14 @@ class MemoryIndex:
                 # A plain loop: it measured faster than a C-level map of setitem.
                 for i, v in zip(positions, values):
                     acc[i] += q_d * v
-        kept: Sequence[int] = range(n)
         norms = self._norms
-        if self._norms_in_range and _FILTER_MIN_NORM <= q.norm <= _FILTER_MAX_NORM:
-            approx = list(map(operator.truediv, acc, map(operator.mul, repeat(q.norm), norms)))
-            kth = _kth_largest(approx, k)
-            margin = (len(q.support[0]) + 2) * 2.0**-52
-            low = min(1.0, max(-1.0, kth)) - 2 * margin
-            if low > -1.0:
-                kept = list(compress(kept, map(operator.le, repeat(low), approx)))
+        approx = list(map(operator.truediv, acc, map(operator.mul, repeat(q.norm), norms)))
+        kth = _kth_largest(approx, k)
+        margin = (len(q.support[0]) + 2) * 2.0**-52
+        low = min(1.0, max(-1.0, kth)) - 2 * margin
+        kept: Sequence[int] = range(n)
+        if low > -1.0:
+            kept = list(compress(kept, map(operator.le, repeat(low), approx)))
         q_at = dict(zip(*q.support)).get
         scores = []
         for i in kept:
@@ -332,8 +331,9 @@ def build_index(
     """Embed every record's context field and assemble the partition index.
 
     Only ``context`` is embedded; reaction/emotions/tone ride along as payload.
-    Rejects records from another partition, embeddings whose norm is zero or
-    not finite, and embeddings of inconsistent dimension.
+    Rejects records from another partition, embeddings whose norm lies outside
+    [2**-400, 2**400] (zero and non-finite norms included), and embeddings of
+    inconsistent dimension.
     """
     entries: list[tuple[MemoryRecord, EmbeddingVector]] = []
     for rec in records:

@@ -20,6 +20,7 @@ from .core import (
     EgoResponse,
     EgoState,
     ProviderId,
+    RetrievalEvent,
     ScenarioConfig,
     TerminationReason,
     Transcript,
@@ -95,6 +96,19 @@ def _speaker_at(cfg: ScenarioConfig, turn: int) -> str:
     return first if turn % 2 == 0 else cfg.other_agent(first).name
 
 
+def _utterance(
+    turn: int, speaker: str, candidates: tuple[EgoResponse, ...], decision: DecisionRecord,
+    run_log: RunLog, retrieval_log: tuple[RetrievalEvent, ...] = (), **event_fields: object,
+) -> Utterance:
+    """The turn's utterance, with the text of the candidate the decision chose.
+    Its ``utterance`` event is recorded with ``event_fields`` added."""
+    chosen = decision.chosen
+    text = next(c.text for c in candidates if c.ego_state is chosen)
+    utterance = Utterance(turn, speaker, chosen, text, candidates, decision, retrieval_log)
+    run_log.record("utterance", turn=turn, speaker=speaker, chosen=chosen.value, **event_fields)
+    return utterance
+
+
 def step_turn(
     cfg: ScenarioConfig,
     utterances: Sequence[Utterance],
@@ -160,21 +174,11 @@ def step_turn(
         provider,
         run_log,
     )
-    chosen_text = next(c.text for c in candidates if c.ego_state is decision.chosen)
-    utterance = Utterance(
-        turn=turn,
-        speaker=agent.name,
-        chosen_ego=decision.chosen,
-        text=chosen_text,
-        candidates=candidates,
-        decision=decision,
+    return _utterance(
+        turn, agent.name, candidates, decision, run_log,
         retrieval_log=tuple(ev for o in outcomes for ev in o.retrieval),
-    )
-    run_log.record(
-        "utterance", turn=turn, speaker=agent.name, chosen=decision.chosen.value,
         malformed_steps=sum(o.malformed_steps for o in outcomes),
     )
-    return utterance
 
 
 def _human_turn(
@@ -207,17 +211,7 @@ def _human_turn(
         rationale=HUMAN_RATIONALE,
         human=True,
     )
-    utterance = Utterance(
-        turn=turn,
-        speaker=speaker,
-        chosen_ego=EgoState.ADULT,
-        text=text,
-        candidates=candidates,
-        decision=decision,
-        retrieval_log=(),
-    )
-    run_log.record("utterance", turn=turn, speaker=speaker, chosen="Adult", human=True)
-    return utterance
+    return _utterance(turn, speaker, candidates, decision, run_log, human=True)
 
 
 def run_simulation(
@@ -232,10 +226,11 @@ def run_simulation(
 ) -> Transcript:
     """Run a whole scenario and return its transcript.
 
-    Stops at max_turns (MaxTurns) or when the provider layer raises
-    ProviderStopSignal (ProviderStop, e.g. end of interactive input). Any
-    other failure, in the index build or in a turn, raises SimulationError
-    carrying the partial transcript with no termination reason.
+    Stops at max_turns (MaxTurns), or with ProviderStop when a turn or
+    ``on_utterance`` raises ProviderStopSignal or the human player's input
+    ends (``input_fn`` raises EOFError). Any other failure, in the index
+    build or in a turn, raises SimulationError carrying the partial
+    transcript with no termination reason.
     """
     violations = validate_scenario(cfg)
     if violations:

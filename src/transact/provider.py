@@ -29,6 +29,7 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from .core import _read_document
 from .memory import EmbeddingVector, MemoryIndexError
 from .runlog import RunLog
 
@@ -64,8 +65,9 @@ class ScriptedQueueUnderrun(ProviderError):
 
 
 class ProviderStopSignal(Exception):
-    """An orderly end-of-run request from the provider layer (e.g. end of
-    interactive input). Recorded in transcripts as the ProviderStop reason."""
+    """An orderly end-of-run request, raised by a provider or an
+    ``on_utterance`` callback. Recorded in transcripts as the ProviderStop
+    reason, as the end of a human player's input (``EOFError``) is too."""
 
 
 class Role(Enum):
@@ -234,6 +236,16 @@ class ScriptedProvider(_ChatBackend):
             return queue.popleft()
 
 
+# Not frozen: a frozen dataclass sets each field through object.__setattr__,
+# which made reading a fixture file about a quarter slower.
+@dataclass
+class _Fixture:
+    """One fixture file entry: a reply for the queue named ``key``."""
+
+    key: str
+    response: str
+
+
 def load_fixtures(path: str | Path) -> list[tuple[str, str]]:
     """Read a fixture file: an ordered JSON array of {"key", "response"} objects."""
     try:
@@ -243,24 +255,10 @@ def load_fixtures(path: str | Path) -> list[tuple[str, str]]:
     except (OSError, UnicodeDecodeError) as e:
         raise ProviderError(f"cannot read fixture file {path}: {e}") from e
     try:
-        tree = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ProviderError(f"fixture file is not valid JSON: {e}") from e
-    if not isinstance(tree, list):
-        raise ProviderError("fixture file must be a JSON array")
-    out = []
-    for i, node in enumerate(tree):
-        if (
-            not isinstance(node, dict)
-            or set(node) != {"key", "response"}
-            or not isinstance(node.get("key"), str)
-            or not isinstance(node.get("response"), str)
-        ):
-            raise ProviderError(
-                f"fixture entry {i} must be an object with string 'key' and 'response'"
-            )
-        out.append((node["key"], node["response"]))
-    return out
+        fixtures = _read_document(tuple[_Fixture, ...], text, ValueError, "fixture file")
+    except ValueError as e:
+        raise ProviderError(f"fixture file does not parse: {e}") from e
+    return [(f.key, f.response) for f in fixtures]
 
 
 #: Raised on a kept-alive connection the server has already closed, before any

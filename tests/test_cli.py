@@ -126,6 +126,15 @@ class TestRun:
             assert code == EXIT_INPUT, path
             assert message.format("fixture") in capsys.readouterr().err
 
+    def test_fixture_file_of_a_bad_shape_is_input_error(self, tmp_path, scenario_file, capsys):
+        scenario, _ = scenario_file
+        fixtures = tmp_path / "f.json"
+        fixtures.write_text('[{"key": 1, "response": "x"}]', encoding="utf-8")
+        assert run_cli("run", "--scenario", scenario, "--fixtures", fixtures) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: fixture file does not parse: [0].key: expected a string\n"
+        )
+
     # 10**16 ms is past what a socket timeout can hold.
     @pytest.mark.parametrize("value", ["abc", "0", "-5", "2147483648", "10000000000000000"])
     def test_timeout_that_is_not_a_positive_integer_is_input_error(
@@ -239,28 +248,6 @@ class TestRun:
         # No provider call was made, and nothing was written.
         assert [p.remaining() for p in built] == [len(simple_run_fixtures(cfg))]
         assert sorted(tmp_path.rglob("*")) == before
-
-    def test_prompt_goes_to_stderr_so_stdout_keeps_only_the_run(self, tmp_path):
-        src = str(Path(transact.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "transact", "interactive", "--as", "Jordan",
-                "--scenario", str(asset_path("stupid.json")),
-                "--fixtures", str(asset_path("stupid_fixtures.json")),
-                "--out", str(tmp_path / "mine.json"),
-            ],
-            input="I think we should look at the numbers together.\n",
-            capture_output=True, text=True, timeout=120, cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": pythonpath},
-        )
-        assert proc.returncode == EXIT_OK, proc.stderr
-        assert "Jordan> " in proc.stderr
-        assert [line for line in proc.stdout.splitlines() if "Jordan> " in line] == []
-        data = (tmp_path / "mine.json").read_bytes()
-        assert proc.stdout.splitlines()[-1] == (
-            f"transcript hash: {hashlib.sha256(data).hexdigest()}"
-        )
 
     def test_fixture_underrun_is_runtime_error_with_partial_transcript(
         self, tmp_path, scenario_file, capsys
@@ -613,6 +600,8 @@ class TestInteractive:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "Jordan> " in proc.stderr
+        # The prompt left open at the end of input is ended with a newline.
+        assert proc.stderr.endswith("\n")
         assert [line for line in proc.stdout.splitlines() if "Jordan> " in line] == []
         data = (tmp_path / "mine.json").read_bytes()
         assert proc.stdout.splitlines()[-1] == (

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import WORDS, cosine_oracle, make_record, search_oracle
@@ -24,6 +24,15 @@ from transact.provider import HashEmbedder
 
 def vec(*values: float) -> EmbeddingVector:
     return EmbeddingVector(tuple(float(v) for v in values))
+
+
+#: The message for a norm outside the domain every scored vector lies in.
+OUTSIDE = r"a vector whose norm lies outside \[2\*\*-400, 2\*\*400\]"
+
+
+def in_domain(values) -> bool:
+    """Whether the norm of ``values``, by its definition, lies in [2**-400, 2**400]."""
+    return 2.0**-400 <= math.sqrt(math.fsum(x * x for x in values)) <= 2.0**400
 
 
 class TestCosine:
@@ -81,6 +90,22 @@ class TestCosine:
             with pytest.raises(MemoryIndexError, match="norm is not finite"):
                 cosine_similarity(a, b)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # The squares underflow: this pair read 0.6667, not 0.7071.
+            ((3e-162, 0.0), (3e-162, 3e-162)),
+            ((2.0**450, 0.0), (1.0, 1.0)),
+            ((1.0, 1.0), (0.0, 2.0**-401)),
+        ],
+    )
+    def test_vector_whose_norm_lies_outside_the_domain_rejected(self, a, b):
+        with pytest.raises(MemoryIndexError, match="cosine similarity is undefined for " + OUTSIDE):
+            cosine_similarity(vec(*a), vec(*b))
+
+    def test_domain_includes_its_bounds(self):
+        assert cosine_similarity(vec(2.0**-400, 0), vec(2.0**400, 0)) == 1.0
+
     def test_self_cosine_rounding_above_one_is_clamped(self):
         v = vec(1, 1, 1)
         raw = math.fsum([1.0, 1.0, 1.0]) / (math.sqrt(3.0) * math.sqrt(3.0))
@@ -104,10 +129,11 @@ class TestCosine:
         dim = data.draw(st.integers(1, 64))
         a = data.draw(st.lists(entry, min_size=dim, max_size=dim))
         b = data.draw(st.lists(entry, min_size=dim, max_size=dim))
-        na = math.sqrt(math.fsum(x * x for x in a))
-        nb = math.sqrt(math.fsum(y * y for y in b))
-        assume(na * nb > 0.0)
-        assert cosine_similarity(vec(*a), vec(*b)).hex() == cosine_oracle(a, b).hex()
+        if in_domain(a) and in_domain(b):
+            assert cosine_similarity(vec(*a), vec(*b)).hex() == cosine_oracle(a, b).hex()
+        else:
+            with pytest.raises(MemoryIndexError):
+                cosine_similarity(vec(*a), vec(*b))
 
 
     def test_support_lists_a_sparse_vector_and_keeps_a_dense_one_whole(self):
@@ -192,6 +218,13 @@ class TestBuildIndex:
                 entries=((ok, vec(0, 1)), (huge, vec(1e200, 1e200))),
                 dim=2,
             )
+
+    def test_index_rejects_an_entry_whose_norm_lies_outside_the_domain(self):
+        ok = make_record("ok", EgoState.CHILD, context="ok")
+        huge = make_record("huge", EgoState.CHILD, context="huge")
+        embedder = FixedEmbedder({"ok": (0.0, 1.0), "huge": (2.0**450, 2.0**450)}, dim=2)
+        with pytest.raises(MemoryIndexError, match="'huge' embedded to " + OUTSIDE):
+            build_index([ok, huge], embedder, agent="X", ego_state=EgoState.CHILD)
 
     def test_embedder_failure_names_the_record(self):
         bad = make_record("bad-one", EgoState.CHILD, context="!!! ...")
@@ -431,6 +464,7 @@ def test_search_equals_oracle_property(data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     n = data.draw(st.integers(1, 25))
     k = data.draw(st.integers(1, 30))
+    table: dict[str, tuple[float, ...]] = {}
     if data.draw(st.booleans()):
         embedder = HashEmbedder(16)
         contexts = [" ".join(rng.sample(WORDS, rng.randint(1, 4))) for _ in range(n)]
@@ -461,7 +495,17 @@ def test_search_equals_oracle_property(data):
     # Ids out of position order, so ties are broken by id, not by position.
     ids = [f"r{i:02d}" for i in rng.sample(range(100), n)]
     records = [make_record(i, EgoState.ADULT, context=c) for i, c in zip(ids, contexts)]
+    # A vector made only of 1e-160 entries has a norm outside the domain.
+    outside = {t for t, v in table.items() if not in_domain(v)}
+    if outside & set(contexts):
+        with pytest.raises(MemoryIndexError, match=OUTSIDE):
+            build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
+        return
     idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
+    if query in outside:
+        with pytest.raises(MemoryIndexError, match="query embedded to " + OUTSIDE):
+            search_top_k(idx, query, k, embedder)
+        return
     assert_bit_identical_to_oracle(idx, query, k, embedder)
     assert len(search_top_k(idx, query, k, embedder)) == min(k, n)
 
@@ -534,19 +578,21 @@ class TestBatchScorer:
         idx, embedder = self.search_case(query, vectors, k=1)
         assert [rec.id for rec, _ in search_top_k(idx, "q", 1, embedder)] == ["e01"]
 
-    def test_subnormal_range_norms_score_every_entry_exactly(self):
-        # Squares of entries near 1e-160 underflow, so such norms lose precision
-        # and fall outside the range where the approximate scores' error bound
-        # holds. Whether the entries' norms or the query's fall there, every
-        # entry is scored exactly.
+    def test_subnormal_range_norms_are_rejected(self):
+        # Squares of entries near 1e-160 underflow, so such norms lose precision;
+        # they lie outside the domain, whether an entry's norm or the query's.
         small = [
             (3e-162, 3e-162, 0, 0), (1e-160, 0, 1e-160, 0), (3e-162, 0, 0, 0), (0, 1e-160, 0, 0)
         ]
-        idx, _ = self.search_case((3e-162, 0.0, 0.0, 0.0), small, k=2)
-        assert not idx._norms_in_range
         normal = [(1.0, 2.0, 0, 0), (0.5, 0, 1.0, 0), (1.0, 0, 0, 0), (0, 3.0, 0, 0)]
-        idx, _ = self.search_case((1e-160, 0.0, 0.0, 1e-160), normal, k=2)
-        assert idx._norms_in_range
+        for v in small:
+            embedder = FixedEmbedder({"e": v}, dim=4)
+            record = make_record("e", EgoState.ADULT, context="e")
+            with pytest.raises(MemoryIndexError, match="'e' embedded to " + OUTSIDE):
+                build_index([record], embedder, agent="X", ego_state=EgoState.ADULT)
+        for q in [(1e-160, 0.0, 0.0, 1e-160), (3e-162, 0.0, 0.0, 0.0)]:
+            with pytest.raises(MemoryIndexError, match="query embedded to " + OUTSIDE):
+                self.search_case(q, normal, k=2)
 
 
 class TestLazyForms:

@@ -126,9 +126,20 @@ class TestFixtureFile:
         path.write_text('{"key": "x"}', encoding="utf-8")
         with pytest.raises(ProviderError, match="array"):
             load_fixtures(path)
-        path.write_text('[{"key": 1, "response": "hi"}]', encoding="utf-8")
-        with pytest.raises(ProviderError, match="entry 0"):
-            load_fixtures(path)
+        # Each shape fault is located in the file, as a scenario's is.
+        for text, located in [
+            ('[{"key": 1, "response": "hi"}]', r"\[0\]\.key: expected a string"),
+            ('[{"key": "A/Adult", "response": "hi"}, "hi"]', r"\[1\]: expected an object"),
+            ('[{"response": "hi"}]', r"\[0\]: missing keys \['key'\]"),
+            (
+                '[{"key": "A/Adult", "response": "hi", "extra": 1}]',
+                r"\[0\]: unknown keys \['extra'\]",
+            ),
+            ('[{"key": "A/Adult", "response": null}]', r"\[0\]\.response: expected a string"),
+        ]:
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ProviderError, match=rf"^fixture file does not parse: {located}$"):
+                load_fixtures(path)
         path.write_text("not json", encoding="utf-8")
         with pytest.raises(ProviderError, match="JSON"):
             load_fixtures(path)
