@@ -18,18 +18,15 @@ from pathlib import Path
 from .analysis import build_report, render_report
 from .core import (
     ScenarioConfig,
-    ScenarioFormatError,
     Transcript,
-    TranscriptFormatError,
     Utterance,
+    _load_document,
     canonical_json,
     fingerprint_scenario,
-    parse_scenario,
-    parse_transcript,
     serialize_transcript,
     validate_scenario,
 )
-from .orchestrator import InvalidScenarioError, SimulationError, run_simulation
+from .orchestrator import SimulationError, run_simulation
 from .provider import HashEmbedder, ProviderError, ScriptedProvider, http_backend, load_fixtures
 from .runlog import RunLog
 
@@ -55,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.handler(args)
-    except (CliInputError, InvalidScenarioError) as e:
+    except CliInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as e:
@@ -69,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run ego-state conversation simulations and analyze their transcripts.",
     )
     parser.add_argument("--verbose", action="store_true", help="debug logging")
-    parser.set_defaults(out=None, play_as=None)
+    parser.set_defaults(play_as=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     run = sub.add_parser("run", help="run a scenario and write its transcript")
@@ -113,26 +110,12 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-turns", type=int, help="override the turn limit")
 
 
-def _read_input(path: Path, what: str) -> str:
-    """Read a UTF-8 input file; a missing or unreadable one is an input error."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise CliInputError(f"{what} file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as e:
-        raise CliInputError(f"cannot read {what} file {path}: {e}") from e
-
-
-def _read_scenario(path: Path) -> ScenarioConfig:
-    text = _read_input(path, "scenario")
-    try:
-        return parse_scenario(text)
-    except ScenarioFormatError as e:
-        raise CliInputError(f"scenario does not parse: {e}") from e
+def _read_scenario(path: str) -> ScenarioConfig:
+    return _load_document(ScenarioConfig, Path(path), CliInputError, "scenario")
 
 
 def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
-    cfg = _read_scenario(Path(args.scenario))
+    cfg = _read_scenario(args.scenario)
     overrides = {}
     for flag, field_name in (
         ("seed", "seed"), ("k", "k"), ("budget", "tool_budget"), ("max_turns", "max_turns"),
@@ -204,8 +187,9 @@ def _read_line(prompt: str) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """``run``, or ``interactive`` when ``--as`` names the agent typed at the
-    terminal: then each other utterance is shown as it arrives. A failed run
-    writes its partial transcript and run log."""
+    terminal. Each utterance not typed there is shown as it arrives, so a
+    failed run shows its completed turns and writes its partial transcript
+    and run log."""
     cfg = _load_scenario(args)
     human = args.play_as
     if human is not None and human not in {a.name for a in cfg.agents}:
@@ -224,16 +208,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         transcript = run_simulation(
             cfg, provider, embedder, run_log=run_log, human_agent=human, input_fn=_read_line,
-            on_utterance=show if human is not None else None,
+            on_utterance=show,
         )
     except SimulationError as e:
         if args.out:
             _write_out(e.transcript, args, run_log)
             print(f"partial transcript written to {args.out}", file=sys.stderr)
         raise
-    if human is None:
-        for u in transcript.utterances:
-            print(_summary_line(u))
     data = _write_out(transcript, args, run_log)
     if args.out:
         print(f"transcript written to {Path(args.out)}")
@@ -242,7 +223,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _read_scenario(Path(args.scenario))
+    cfg = _read_scenario(args.scenario)
     violations = validate_scenario(cfg)
     if violations:
         for v in violations:
@@ -256,12 +237,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.budget is not None and args.budget < 1:
         raise CliInputError(f"--budget must be >= 1, got {args.budget}")
     _check_out(args, log=False)
-    cfg = _read_scenario(Path(args.scenario)) if args.scenario else None
-    text = _read_input(Path(args.transcript), "transcript")
-    try:
-        transcript = parse_transcript(text)
-    except TranscriptFormatError as e:
-        raise CliInputError(f"transcript does not parse: {e}") from e
+    cfg = _read_scenario(args.scenario) if args.scenario else None
+    transcript = _load_document(Transcript, Path(args.transcript), CliInputError, "transcript")
     if cfg is None:
         budget = DEFAULT_AUDIT_BUDGET if args.budget is None else args.budget
     elif fingerprint_scenario(cfg) != transcript.scenario_fingerprint:

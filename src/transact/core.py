@@ -16,6 +16,7 @@ import hashlib
 import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from pathlib import Path
 from types import UnionType
 from typing import Any, Callable, Iterable, get_args, get_origin, get_type_hints
 
@@ -715,6 +716,26 @@ def _read_document(tp: Any, text: str, error: type[ValueError], root: str) -> An
         return _codec(tp)[0](tree)
     except _CodecError as e:
         raise error(e.located(root)) from e
+
+
+def _load_document(
+    tp: Any, path: str | Path, error: type[Exception], what: str, root: str | None = None
+) -> Any:
+    """Read the UTF-8 file at ``path`` and parse it as a ``tp`` document whose
+    faults are located from ``root`` (default ``what``). Every failure raises
+    ``error``: "{what} file not found", "cannot read {what} file" or
+    "{root} does not parse"."""
+    root = root or what
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise error(f"cannot read {what} file {path}: {e}") from e
+    try:
+        return _read_document(tp, text, ValueError, root)
+    except ValueError as e:
+        raise error(f"{root} does not parse: {e}") from e
 
 
 def _write_document(tp: type, value: Any) -> str:

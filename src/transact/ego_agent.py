@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 
 from . import templates
-from .core import EgoResponse, EgoState, RetrievalEvent
+from .core import EgoResponse, RetrievalEvent
 from .memory import Embedder, MemoryIndex, search_top_k
 from .provider import CallerInfo, ChatMessage, Role, complete_logged
 from .runlog import RunLog
@@ -52,10 +52,10 @@ class FinalAnswer:
 
 @dataclass(frozen=True)
 class EgoTurnContext:
-    """Everything one ego turn may see. The life script is deliberately absent:
-    it enters only at the decision step."""
+    """Everything one ego turn may see besides its memory partition, which
+    names the agent and ego state. The life script is deliberately absent: it
+    enters only at the decision step."""
 
-    agent: str
     turn: int
     opening_prompt: str
     history: tuple[tuple[str, str], ...]  # (speaker, chosen text), oldest first
@@ -82,8 +82,8 @@ def parse_react_step(raw: str) -> SearchMemories | FinalAnswer:
     text). Text with neither directive degrades gracefully to a final answer
     carrying the whole raw text.
 
-    Raises MalformedStepError for a search action without a non-empty
-    Action Input.
+    Raises MalformedStepError for a search action without an Action Input
+    that holds a letter or digit: a query with none has nothing to search by.
     """
     lines = raw.splitlines()
     thought: str | None = None
@@ -99,10 +99,12 @@ def parse_react_step(raw: str) -> SearchMemories | FinalAnswer:
             for later in lines[i + 1 :]:
                 if later.startswith("Action Input:"):
                     query = later[len("Action Input:"):].strip()
-                    if query:
+                    if any(map(str.isalnum, query)):
                         return SearchMemories(query, thought)
                     break
-            raise MalformedStepError("Action: search_memories requires a non-empty Action Input")
+            raise MalformedStepError(
+                "Action: search_memories requires an Action Input with a letter or digit"
+            )
     return FinalAnswer(raw, UNSPECIFIED, UNSPECIFIED)
 
 
@@ -161,9 +163,9 @@ def render_history(history: tuple[tuple[str, str], ...]) -> str:
     return "\n".join(f"{speaker}: {text}" for speaker, text in history)
 
 
-def _system_prompt(ctx: EgoTurnContext) -> str:
+def _system_prompt(ctx: EgoTurnContext, agent: str) -> str:
     return templates.load("ego_turn").format(
-        agent=ctx.agent,
+        agent=agent,
         descriptor=ctx.descriptor,
         situation=ctx.opening_prompt,
         history=render_history(ctx.history),
@@ -174,29 +176,24 @@ def _system_prompt(ctx: EgoTurnContext) -> str:
 
 def run_ego_turn(
     ctx: EgoTurnContext,
-    ego: EgoState,
     index: MemoryIndex,
     provider,
     embedder: Embedder,
     run_log: RunLog,
 ) -> EgoTurnOutcome:
-    """Run the budgeted search-then-answer loop for one ego state.
+    """Run the budgeted search-then-answer loop for the agent and ego state
+    whose memory partition ``index`` holds.
 
-    Searches hit only the given partition index. After ``tool_budget``
-    searches the prompt gains an exhaustion directive and any further search
-    attempt is coerced into a final answer built from the best available
-    draft. One malformed step per turn earns a retry observation; a second
-    forces finalization. Always returns within ``tool_budget + 2`` provider
-    calls.
+    Searches hit only that partition. After ``tool_budget`` searches the
+    prompt gains an exhaustion directive and any further search attempt is
+    coerced into a final answer built from the best available draft. One
+    malformed step per turn earns a retry observation; a second forces
+    finalization. Always returns within ``tool_budget + 2`` provider calls.
     """
-    if index.agent != ctx.agent or index.ego_state is not ego:
-        raise ValueError(
-            f"index partition ({index.agent}, {index.ego_state.value}) does not match "
-            f"the ego turn ({ctx.agent}, {ego.value})"
-        )
-    caller = CallerInfo(agent=ctx.agent, role=ego.value, turn=ctx.turn)
+    agent, ego = index.agent, index.ego_state
+    caller = CallerInfo(agent=agent, role=ego.value, turn=ctx.turn)
     messages: list[ChatMessage] = [
-        ChatMessage(Role.SYSTEM, _system_prompt(ctx)),
+        ChatMessage(Role.SYSTEM, _system_prompt(ctx, agent)),
         ChatMessage(Role.USER, _KICKOFF),
     ]
     retrieval: list[RetrievalEvent] = []
@@ -204,7 +201,7 @@ def run_ego_turn(
 
     def record(action: str, **fields: object) -> None:
         run_log.record(
-            "react_step", agent=ctx.agent, ego=ego.value, turn=ctx.turn,
+            "react_step", agent=agent, ego=ego.value, turn=ctx.turn,
             action=action, searches=len(retrieval), **fields,
         )
 
@@ -229,7 +226,7 @@ def run_ego_turn(
             record("malformed")
             if malformed >= 2:
                 return finish(raw)
-            logger.warning("malformed step for %s/%s: %s", ctx.agent, ego.value, e)
+            logger.warning("malformed step for %s/%s: %s", agent, ego.value, e)
             messages.append(ChatMessage(Role.ASSISTANT, raw))
             messages.append(ChatMessage(Role.USER, _MALFORMED_NOTE))
             continue

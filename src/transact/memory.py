@@ -143,9 +143,12 @@ class EmbeddingVector:
     @classmethod
     def sparse(cls, dim: int, indices: Sequence[int], values: Sequence[float]) -> EmbeddingVector:
         """The vector of ``dim`` entries that holds ``values`` at the ascending
-        ``indices`` and 0.0 elsewhere."""
+        ``indices`` and 0.0 elsewhere. The indices must strictly ascend, and
+        each have one value."""
         if dim < 1:
             raise MemoryIndexError("embedding must have at least one dimension")
+        if len(indices) != len(values) or not all(map(operator.lt, indices, indices[1:])):
+            raise MemoryIndexError("support indices must strictly ascend, one value each")
         if indices and not 0 <= indices[0] <= indices[-1] < dim:
             raise MemoryIndexError(f"support indices must lie in [0, {dim})")
         _check_finite(values)

@@ -121,12 +121,11 @@ def step_turn(
     """Run the next turn, ``len(utterances)``, and return its utterance.
 
     The speaker follows from the turn number. The three ego turns share only
-    immutable context. Without an executor they run in EGO_ORDER and record
-    straight into ``run_log``. With one they run concurrently, each into its
-    own log; once all three have finished, their events are appended to
-    ``run_log`` in EGO_ORDER, so the log reads as a sequential run's would,
-    and the first failure in EGO_ORDER is raised. ``utterances`` is not
-    changed.
+    immutable context and each records into its own log. They run in
+    EGO_ORDER, or concurrently on ``executor`` if given; either way their
+    events are appended to ``run_log`` in EGO_ORDER once they have finished,
+    so the log reads as a sequential run's would, and the first failure in
+    EGO_ORDER is raised. ``utterances`` is not changed.
     """
     turn = len(utterances)
     if turn >= cfg.max_turns:
@@ -134,12 +133,11 @@ def step_turn(
     agent = cfg.agent(_speaker_at(cfg, turn))
     history = tuple((u.speaker, u.text) for u in utterances)
 
-    ego_logs = [run_log if executor is None else RunLog() for _ in EGO_ORDER]
+    ego_logs = [RunLog() for _ in EGO_ORDER]
     jobs = [
         partial(
             run_ego_turn,
             EgoTurnContext(
-                agent=agent.name,
                 turn=turn,
                 opening_prompt=cfg.opening_prompt,
                 history=history,
@@ -147,7 +145,6 @@ def step_turn(
                 tool_budget=cfg.tool_budget,
                 k=cfg.k,
             ),
-            ego,
             indices[(agent.name, ego)],
             provider,
             embedder,
@@ -158,9 +155,8 @@ def step_turn(
     try:
         outcomes = _gather(executor, jobs)
     finally:
-        if executor is not None:
-            for ego_log in ego_logs:
-                run_log.extend(ego_log)
+        for ego_log in ego_logs:
+            run_log.extend(ego_log)
 
     candidates = tuple(o.response for o in outcomes)
     decision = decide(
@@ -221,24 +217,22 @@ def run_simulation(
     *,
     run_log: RunLog | None = None,
     human_agent: str | None = None,
-    input_fn: Callable[[str], str] | None = None,
+    input_fn: Callable[[str], str] = input,
     on_utterance: Callable[[Utterance], None] | None = None,
 ) -> Transcript:
     """Run a whole scenario and return its transcript.
 
     Stops at max_turns (MaxTurns), or with ProviderStop when a turn or
     ``on_utterance`` raises ProviderStopSignal or the human player's input
-    ends (``input_fn`` raises EOFError). Any other failure, in the index
-    build or in a turn, raises SimulationError carrying the partial
-    transcript with no termination reason.
+    ends (``input_fn``, ``input`` by default, raises EOFError). Any other
+    failure, in the index build or in a turn, raises SimulationError
+    carrying the partial transcript with no termination reason.
     """
     violations = validate_scenario(cfg)
     if violations:
         raise InvalidScenarioError(violations)
     if human_agent is not None:
         cfg.agent(human_agent)  # KeyError for an unknown name
-        if input_fn is None:
-            raise ValueError("human_agent requires an input_fn")
 
     log = run_log or RunLog()
     fingerprint = fingerprint_scenario(cfg)

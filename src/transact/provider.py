@@ -29,7 +29,7 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .core import _read_document
+from .core import _load_document
 from .memory import EmbeddingVector, MemoryIndexError
 from .runlog import RunLog
 
@@ -248,16 +248,7 @@ class _Fixture:
 
 def load_fixtures(path: str | Path) -> list[tuple[str, str]]:
     """Read a fixture file: an ordered JSON array of {"key", "response"} objects."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ProviderError(f"fixture file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as e:
-        raise ProviderError(f"cannot read fixture file {path}: {e}") from e
-    try:
-        fixtures = _read_document(tuple[_Fixture, ...], text, ValueError, "fixture file")
-    except ValueError as e:
-        raise ProviderError(f"fixture file does not parse: {e}") from e
+    fixtures = _load_document(tuple[_Fixture, ...], path, ProviderError, "fixture", "fixture file")
     return [(f.key, f.response) for f in fixtures]
 
 

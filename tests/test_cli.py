@@ -268,6 +268,9 @@ class TestRun:
         assert partial.termination_reason is None
         assert len(partial.utterances) == 1
         assert_run_log_ends_in_failed_turn(tmp_path / "partial.json.log", 1)
+        # The completed turn's summary line is printed all the same.
+        u = partial.utterances[0]
+        assert capsys.readouterr().out == f"[00] Alex ({u.chosen_ego.value}): {u.text}\n"
 
     def test_failed_index_build_still_writes_the_transcript_and_log(self, tmp_path, capsys):
         # "..." has no token to hash-embed, so the first partition's build fails.
@@ -379,7 +382,7 @@ class TestAnalyze:
     def test_unwritable_out_is_input_error_before_reading(
         self, tmp_path, golden_file, monkeypatch, capsys, out_path
     ):
-        monkeypatch.setattr("transact.cli._read_input", _no_run)
+        monkeypatch.setattr("transact.cli._load_document", _no_run)
         out = out_path(tmp_path)
         before = sorted(tmp_path.rglob("*"))
         assert run_cli("analyze", "--transcript", golden_file, "--out", out) == EXIT_INPUT

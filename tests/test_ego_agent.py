@@ -85,6 +85,30 @@ class TestParseReactStep:
         with pytest.raises(MalformedStepError):
             parse_react_step("Action: search_memories\nAction Input:   ")
 
+    def test_query_without_a_letter_or_digit_is_malformed(self):
+        for query in ("???", "...", "-- !", "_"):
+            with pytest.raises(MalformedStepError):
+                parse_react_step(f"Action: search_memories\nAction Input: {query}")
+        assert parse_react_step("Action: search_memories\nAction Input: ?x?") == (
+            SearchMemories("?x?", None)
+        )
+
+    # Control and line-break characters are left out: they would end the line.
+    @settings(max_examples=300, deadline=None)
+    @given(query=st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=4))
+    def test_a_query_is_a_search_exactly_when_it_can_be_hash_embedded(self, query):
+        try:
+            HashEmbedder().embed(query)
+            embeddable = True
+        except ValueError:
+            embeddable = False
+        try:
+            parse_react_step(f"Action: search_memories\nAction Input: {query}")
+        except MalformedStepError:
+            assert not embeddable
+        else:
+            assert embeddable
+
     def test_prefixes_are_case_sensitive_and_line_anchored(self):
         raw = "thought: lower\naction: search_memories\nSee Final Answer: inline mention"
         assert parse_react_step(raw) == FinalAnswer(raw, "unspecified", "unspecified")
@@ -135,7 +159,6 @@ class TestFormatObservation:
 
 def make_ctx(budget: int = 5, k: int = 3, history=()) -> EgoTurnContext:
     return EgoTurnContext(
-        agent="Jordan",
         turn=0,
         opening_prompt="Alex points at a crucial mistake in the financial report.",
         history=tuple(history),
@@ -165,7 +188,7 @@ class TestRunEgoTurn:
             ]
         )
         log = RunLog()
-        outcome = run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder, log)
+        outcome = run_ego_turn(make_ctx(), idx, provider, embedder, log)
         r = outcome.response
         assert r.searches_performed == 1
         assert r.text == "I cannot deal with this."
@@ -182,7 +205,7 @@ class TestRunEgoTurn:
             [("Jordan/Child", search_step(f"attempt {i}")) for i in range(12)]
         )
         log = RunLog()
-        outcome = run_ego_turn(make_ctx(budget=5), EgoState.CHILD, idx, provider, embedder, log)
+        outcome = run_ego_turn(make_ctx(budget=5), idx, provider, embedder, log)
         assert outcome.response.searches_performed == 5
         assert len(outcome.retrieval) == 5
         # Budget searches, then one coerced finalization call.
@@ -198,7 +221,7 @@ class TestRunEgoTurn:
                 ("Jordan/Child", final_step("I will just say what I feel.", "worry", "soft")),
             ]
         )
-        outcome = run_ego_turn(make_ctx(), EgoState.CHILD, empty, provider, embedder, RunLog())
+        outcome = run_ego_turn(make_ctx(), empty, provider, embedder, RunLog())
         assert outcome.response.memories_used == ()
         assert outcome.response.text == "I will just say what I feel."
         observation = provider.call_log[1].messages[-1].content
@@ -213,7 +236,7 @@ class TestRunEgoTurn:
                 ("Jordan/Child", final_step("Recovered.", "calm", "even")),
             ]
         )
-        outcome = run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder, RunLog())
+        outcome = run_ego_turn(make_ctx(), idx, provider, embedder, RunLog())
         assert outcome.response.text == "Recovered."
         assert outcome.malformed_steps == 1
         retry_note = provider.call_log[1].messages[-1].content
@@ -229,7 +252,7 @@ class TestRunEgoTurn:
             ]
         )
         log = RunLog()
-        outcome = run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder, log)
+        outcome = run_ego_turn(make_ctx(), idx, provider, embedder, log)
         assert outcome.response.searches_performed == 0
         assert outcome.response.text  # non-empty fallback
         assert outcome.malformed_steps == 2
@@ -248,7 +271,7 @@ class TestRunEgoTurn:
             provider = ScriptedProvider([("Jordan/Child", s) for s in script])
             log = RunLog()
             outcome = run_ego_turn(
-                make_ctx(budget=budget), EgoState.CHILD, idx, provider, embedder, log
+                make_ctx(budget=budget), idx, provider, embedder, log
             )
             assert log.count("provider_call") <= budget + 2
             assert outcome.response.searches_performed <= budget
@@ -262,26 +285,19 @@ class TestRunEgoTurn:
         ]
         first, second = (
             run_ego_turn(
-                make_ctx(), EgoState.CHILD, idx, ScriptedProvider(script), embedder, RunLog()
+                make_ctx(), idx, ScriptedProvider(script), embedder, RunLog()
             )
             for _ in range(2)
         )
         assert first.response == second.response
         assert first.retrieval == second.retrieval
 
-    def test_wrong_partition_rejected(self):
-        embedder = HashEmbedder()
-        idx = child_index()
-        provider = ScriptedProvider([])
-        with pytest.raises(ValueError, match="partition"):
-            run_ego_turn(make_ctx(), EgoState.ADULT, idx, provider, embedder, RunLog())
-
     def test_provider_error_propagates(self):
         embedder = HashEmbedder()
         idx = child_index()
         provider = ScriptedProvider([])  # immediate underrun
         with pytest.raises(ProviderError):
-            run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder, RunLog())
+            run_ego_turn(make_ctx(), idx, provider, embedder, RunLog())
 
     def test_observations_accumulate_in_the_scratchpad(self):
         embedder = HashEmbedder()
@@ -293,7 +309,7 @@ class TestRunEgoTurn:
                 ("Jordan/Child", final_step("done")),
             ]
         )
-        run_ego_turn(make_ctx(), EgoState.CHILD, idx, provider, embedder, RunLog())
+        run_ego_turn(make_ctx(), idx, provider, embedder, RunLog())
         final_call_messages = provider.call_log[2].messages
         observations = [m.content for m in final_call_messages if m.content.startswith("Observation:")]
         assert len(observations) == 2
@@ -309,7 +325,7 @@ class TestRunEgoTurn:
             ]
         )
         outcome = run_ego_turn(
-            make_ctx(budget=2), EgoState.CHILD, idx, provider, embedder, RunLog()
+            make_ctx(budget=2), idx, provider, embedder, RunLog()
         )
         assert outcome.response.searches_performed == 2
         last_prompt = provider.call_log[2].messages
@@ -389,7 +405,7 @@ class TestRunEgoTurnProperty:
         )
         log = RunLog()
         outcome = run_ego_turn(
-            make_ctx(budget=budget, k=k), EgoState.CHILD, self.INDEX, provider,
+            make_ctx(budget=budget, k=k), self.INDEX, provider,
             HashEmbedder(), log,
         )
         calls, queries, malformed, actions, final = ego_turn_oracle(replies, budget)

@@ -155,6 +155,17 @@ class TestCosine:
             with pytest.raises(MemoryIndexError, match=r"support indices must lie in \[0, 6\)"):
                 EmbeddingVector.sparse(6, indices, [1.0, 2.0])
 
+    # Each was accepted once: [2, 2] kept the norm of both values but the
+    # second value alone, so it read cosine 0.8 with the unit vector at 2.
+    @pytest.mark.parametrize(
+        "indices, values",
+        [([1, 4, 2], [0.5, 1.0, 2.0]), ([2, 2], [0.6, 0.8]), ([1, 4], [2.0]), ([1], [2.0, 3.0])],
+        ids=["out-of-order", "duplicated", "fewer-values", "more-values"],
+    )
+    def test_sparse_support_must_strictly_ascend_with_one_value_each(self, indices, values):
+        with pytest.raises(MemoryIndexError, match="strictly ascend, one value each"):
+            EmbeddingVector.sparse(8, indices, values)
+
 
 class TestBuildIndex:
     def test_ten_records_make_ten_entries(self):

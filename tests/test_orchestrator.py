@@ -26,7 +26,7 @@ from transact.orchestrator import (
     run_simulation,
     step_turn,
 )
-from transact.provider import HashEmbedder, ProviderStopSignal, ScriptedProvider
+from transact.provider import CallerInfo, HashEmbedder, ProviderStopSignal, ScriptedProvider
 from transact.runlog import RunLog
 
 
@@ -77,6 +77,29 @@ class TestRunSimulation:
         cfg = dataclasses.replace(make_scenario(), opening_prompt=" ")
         with pytest.raises(InvalidScenarioError):
             run_simulation(cfg, ScriptedProvider([]), HashEmbedder())
+
+    def test_query_with_no_letter_or_digit_is_malformed_and_the_run_completes(self):
+        cfg = make_scenario(max_turns=2)
+        fixtures = simple_run_fixtures(cfg)
+        # Queues are per caller: Alex's Child asks "???" first, then as scripted.
+        fixtures.insert(0, ("Alex/Child", search_step("???")))
+        provider = ScriptedProvider(fixtures)
+        log = RunLog()
+        t = run_simulation(cfg, provider, HashEmbedder(), run_log=log)
+        assert t.termination_reason is TerminationReason.MAX_TURNS
+        assert len(t.utterances) == 2
+        malformed = [
+            (e["agent"], e["ego"], e["turn"])
+            for e in log.events
+            if e["kind"] == "react_step" and e["action"] == "malformed"
+        ]
+        assert malformed == [("Alex", "Child", 0)]
+        assert [e["malformed_steps"] for e in log.events if e["kind"] == "utterance"] == [1, 0]
+        # The retry note follows the "???" step, and the scripted search after it runs.
+        child_calls = [c for c in provider.call_log if c.caller == CallerInfo("Alex", "Child", 0)]
+        assert "that step was malformed" in child_calls[1].messages[-1].content
+        child = [e for e in t.utterances[0].retrieval_log if e.ego_state is EgoState.CHILD]
+        assert len(child) == 1 and child[0].query != "???"
 
     def test_minimal_run(self):
         cfg = make_scenario(max_turns=1, first_speaker="Jordan")
