@@ -51,12 +51,18 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        if sys.stdout is not None:  # None when the process started with stdout closed
+            sys.stdout.flush()  # a buffered write to a closed pipe fails here, not at exit
+        return status
     except CliInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
+        if isinstance(e, BrokenPipeError):
+            # What stdout still buffers goes nowhere, so the flush at exit cannot fail.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_RUNTIME
 
 
@@ -201,9 +207,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"You are {human}. Situation: {cfg.opening_prompt}")
         print("Type your lines; Ctrl-D ends the conversation.")
 
+    # A failed stdout write (a reader that closed the pipe) stops the summary
+    # lines, not the run: the transcript and run log are still written.
+    stdout_fault: list[OSError] = []
+
     def show(u: Utterance) -> None:
-        if u.speaker != human:
-            print(_summary_line(u))
+        if u.speaker != human and not stdout_fault:
+            try:
+                print(_summary_line(u))
+            except OSError as e:
+                stdout_fault.append(e)
 
     try:
         transcript = run_simulation(
@@ -216,6 +229,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"partial transcript written to {args.out}", file=sys.stderr)
         raise
     data = _write_out(transcript, args, run_log)
+    if stdout_fault:
+        raise stdout_fault[0]
     if args.out:
         print(f"transcript written to {Path(args.out)}")
     print(f"transcript hash: {hashlib.sha256(data).hexdigest()}")

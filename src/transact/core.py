@@ -712,6 +712,8 @@ def _read_document(tp: Any, text: str, error: type[ValueError], root: str) -> An
         tree = json.loads(text)
     except json.JSONDecodeError as e:
         raise error(f"not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise error("not valid JSON: nested too deeply") from e
     try:
         return _codec(tp)[0](tree)
     except _CodecError as e:

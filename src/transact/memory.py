@@ -11,7 +11,7 @@ transcripts byte-stable everywhere.
 A vector with at most half of its entries non-zero, as the hash embedder
 makes them, holds only its support: the ascending indices of its non-zero
 entries and their values. Its tuple of all ``dim`` values is built only when
-read.
+read. Its norm is set when it is built.
 
 Every vector that is scored, the query and each entry, has a norm in
 [2**-400, 2**400]. The index build, the query and ``cosine_similarity``
@@ -22,50 +22,58 @@ A query whose support covers every index, as a real embedding model's output
 does, is walked row by row: each entry's values against the query's, in
 chained C-level ``map`` calls. Any other query is scored through the index's
 postings: for each dimension, the positions of the entries whose support
-includes it and their values there. Each form is built on the first search
-that needs it, so a partition that only sparse queries reach never builds
-the entries' full values, and one that only dense queries reach never builds
-postings. A sparse search runs in four steps:
+includes it and their values there, each divided once by its entry's norm.
+Each form is built on the first search that needs it, so a partition that
+only sparse queries reach never builds the entries' full values, and one
+that only dense queries reach never builds postings. A sparse search runs in
+four steps:
 
-1. Approximate dots: for each query dimension ``d``, ``acc[i] += q_d * v``
-   over the postings of ``d``, into one list of a slot per entry. Only
-   non-zero pairs are multiplied.
-2. Approximate cosines ``a_i = acc[i] / (|q| * |e_i|)``, with the very
-   denominator of the exact score.
-3. T, the k-th largest ``a_i``, clamped to [-1, 1].
-4. The exact score of only the entries with ``a_i >= T - 2M``, where
-   ``M = (m + 2) * 2**-52`` and m is the length of the query's support.
+1. Approximate scaled dots: for each query dimension ``d``,
+   ``acc[i] += q_d * w`` over the postings of ``d``, where ``w`` is the
+   entry's value over its norm ``|e_i|``, into one list of a slot per entry.
+   Only non-zero pairs are multiplied. ``acc[i]`` approximates ``|q|`` times
+   the cosine, so no entry's sum is divided.
+2. K, the k-th largest ``acc[i]``, clamped to [-|q|, |q|].
+3. The threshold ``K - 2M * |q|``, where ``M = (m + 3) * 2**-52`` and m is
+   the length of the query's support.
+4. The exact score of only the entries with ``acc[i]`` at or above it.
 
 An exact score is the ``fsum`` of the entry's support values times the
-query's, 0.0 where the query has none. Those are the bits of the dense
-definition, the ``fsum`` of all ``q_i * e_i``: the order of the terms does
-not matter, and ``fsum`` keeps no zero term, +0.0 or -0.0, so neither do the
-products left out, each of which has a zero factor. A sum with no non-zero
-term is +0.0.
+query's, 0.0 where the query has none, over ``|q| * |e_i|``. Those are the
+bits of the dense definition, the ``fsum`` of all ``q_i * e_i``: the order
+of the terms does not matter, and ``fsum`` keeps no zero term, +0.0 or -0.0,
+so neither do the products left out, each of which has a zero factor. A sum
+with no non-zero term is +0.0.
 
 Step 4 is a floating-point filter with exact verification (Shewchuk 1997):
 the approximate score decides only where a proven error bound shows it
-cannot change the answer. Let u = 2**-53, p_j the rounded products, S their
-exact sum and c_i the exact score. Every norm lies in [2**-400, 2**400], so no
-sum or product overflows, and an underflowing product or square errs by at
-most 2**-1075, far below u * |q| * |e|; the bounds below absorb it.
+cannot change the answer. Let u = 2**-53, Q and N the computed norms of the
+query and of an entry, W the sum of the |q_d e_d| / N over the dimensions
+they share, x the entry's exact score before clamping, and X = Q x. Every
+norm lies in [2**-400, 2**400], so no sum or product overflows. A quotient,
+product or sum that underflows errs by at most 2**-1075, below 2**-270 Q in
+the units of ``acc``, and a norm whose squares underflow errs by a relative
+2**-270 or less; the bounds below absorb both.
 
-- By Cauchy-Schwarz, the sum of the |p_j| is at most (1 + u) |q| |e| = B.
-- ``fsum`` gives D with |D - S| <= u |S|. Naive summation of at most m terms
-  gives A with |A - S| <= (m - 1) u B / (1 - (m - 1) u) (Higham, *Accuracy
-  and Stability of Numerical Algorithms*, section 4.2).
-- Each computed norm is at least (1 - u)**2 times the true one, so the
-  shared denominator P is at least (1 - u)**5 |q| |e|.
-- Each of the two divisions adds at most u times a quotient of about 1.
+- Each computed norm is within a factor (1 - u)**2 of the true one, so by
+  Cauchy-Schwarz W <= |q| |e| / N <= Q / (1 - u)**4.
+- A term of ``acc[i]`` is q_d e_d / N with two roundings, of the quotient at
+  build and of the product. Naive summation of at most m terms adds at most
+  (m - 1) u / (1 - (m - 1) u) times the sum of their magnitudes (Higham,
+  *Accuracy and Stability of Numerical Algorithms*, section 4.2).
+- X is the same exact sum with four roundings: of each product, of the
+  ``fsum``, of the denominator ``Q * N`` and of the division.
 
-So |a_i - c_i| <= E = (m + 2) u (1 + (3m + 8) u). Clamping to [-1, 1]
-moves no two values farther apart. Each of the k entries with the largest
-clamped ``a_i`` has a clamped exact score of at least T - E. An entry left
-out has ``a_i`` below T - 2M as computed, which exceeds the exact difference
-by at most u (1 + 2M), so its clamped exact score is below
-T - 2M + u (1 + 2M) + E <= T - E while m < 2**24: strictly lower, and it
-ranks below at least k entries whatever its id. When T - 2M <= -1 every entry
-is kept, since clamped scores may tie at -1.
+So |acc[i] - X| <= E Q, with E = (m + 5) u (1 + (m + 5) u). Q times an
+entry's clamped exact score is X clamped to [-Q, Q], and clamping moves no
+two values farther apart. Each of the k entries with the largest ``acc[i]``
+thus has a clamped exact score of at least K / Q - E. An entry left out has
+``acc[i]`` below the threshold as computed, which exceeds K - 2MQ by at most
+u (1 + 5M) Q, so its clamped exact score is below
+K / Q - 2M + u (1 + 5M) + E <= K / Q - E while m < 2**24: strictly lower,
+and it ranks below at least k entries whatever its id. ``(m + 2) * 2**-52``
+in place of M would fail that at m = 1. When the threshold is at most -Q
+every entry is kept, since clamped scores may tie at -1.
 
 Rounding can put a cosine just outside [-1, 1]: the raw self-cosine of
 (1, 1, 1) is 1.0000000000000002. No norm is zero or infinite, so no score is
@@ -77,9 +85,9 @@ every entry would rank them. The k-th best exact score is found first, and
 only the entries scoring at least that, ties included, get a key.
 
 Vectors and index entries never change after build. What is built on first
-use by ``cached_property`` (a vector's values and norm; an index's values,
-postings and record ids) is a pure function of them, so two threads that
-race on a first use build equal copies and either serves.
+use by ``cached_property`` (a vector's values; an index's values, postings
+and record ids) is a pure function of them, so two threads that race on a
+first use build equal copies and either serves.
 Nothing else is written, so concurrent searches need no lock.
 """
 
@@ -88,6 +96,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
@@ -112,6 +121,15 @@ def _check_finite(values: Sequence[float]) -> None:
         raise MemoryIndexError("embedding entries must all be finite")
 
 
+def _norm(support_values: Sequence[float]) -> float:
+    """The vector's norm from its support's values: ``fsum`` keeps no zero
+    square, so they give the bits of all ``dim`` squares."""
+    try:
+        return math.sqrt(math.fsum(map(operator.mul, support_values, support_values)))
+    except OverflowError:  # the squares' exact sum is beyond the float range
+        return math.inf
+
+
 class EmbeddingVector:
     """An immutable vector of ``dim`` finite floats; equal entries make equal
     vectors, however each was built.
@@ -123,6 +141,7 @@ class EmbeddingVector:
 
     dim: int
     support: tuple[Sequence[int], Sequence[float]]
+    norm: float
 
     def __init__(self, values: tuple[float, ...]) -> None:
         if not values:
@@ -132,13 +151,15 @@ class EmbeddingVector:
         object.__setattr__(self, "dim", dim)
         if 2 * (dim - values.count(0.0)) > dim:
             object.__setattr__(self, "values", values)
-            object.__setattr__(self, "support", (range(dim), values))
-            return
-        # Lists, not tuples: CPython keeps up to 2,000 freed tuples of each length
-        # below 20 on free lists for reuse; supports freed after each search filled
-        # them and raised the peak RSS of repeated runs by about 1 MB.
-        indices = list(compress(range(dim), values))
-        object.__setattr__(self, "support", (indices, list(map(values.__getitem__, indices))))
+            support: tuple[Sequence[int], Sequence[float]] = (range(dim), values)
+        else:
+            # Lists, not tuples: CPython keeps up to 2,000 freed tuples of each length
+            # below 20 on free lists for reuse; supports freed after each search filled
+            # them and raised the peak RSS of repeated runs by about 1 MB.
+            indices = list(compress(range(dim), values))
+            support = (indices, list(map(values.__getitem__, indices)))
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "norm", _norm(support[1]))
 
     @classmethod
     def sparse(cls, dim: int, indices: Sequence[int], values: Sequence[float]) -> EmbeddingVector:
@@ -155,8 +176,11 @@ class EmbeddingVector:
         vec = cls.__new__(cls)
         object.__setattr__(vec, "dim", dim)
         object.__setattr__(vec, "support", (list(indices), list(values)))
-        # More than half filled: the whole vector, as ``__init__`` keeps it.
-        return cls(vec.values) if 2 * len(indices) > dim else vec
+        if 2 * len(indices) > dim:
+            # More than half filled: the whole vector, as ``__init__`` keeps it.
+            return cls(vec.values)
+        object.__setattr__(vec, "norm", _norm(vec.support[1]))
+        return vec
 
     @cached_property
     def values(self) -> tuple[float, ...]:
@@ -164,15 +188,6 @@ class EmbeddingVector:
         for i, v in zip(*self.support):
             full[i] = v
         return tuple(full)
-
-    @cached_property
-    def norm(self) -> float:
-        # fsum keeps no zero square, so the support's squares give the bits of all dim.
-        values = self.support[1]
-        try:
-            return math.sqrt(math.fsum(map(operator.mul, values, values)))
-        except OverflowError:  # the squares' exact sum is beyond the float range
-            return math.inf
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmbeddingVector):
@@ -279,19 +294,22 @@ class MemoryIndex:
         return tuple(vec.values for _, vec in self.entries)
 
     @cached_property
-    def _postings(self) -> dict[int, tuple[list[int], list[float]]]:
+    def _postings(self) -> dict[int, tuple[list[int], array[float]]]:
         """For each dimension in some entry's support, the ascending positions
-        of the entries whose support includes it, and their values there."""
-        postings: dict[int, tuple[list[int], list[float]]] = {}
+        of the entries whose support includes it, and their values there over
+        the entry's norm."""
+        postings: dict[int, tuple[list[int], array[float]]] = {}
         # A plain loop: it measured faster than C-level chains and a sort by dimension.
+        # Arrays, not lists: a new float per posting raised peak RSS by over 1 MB.
         for i, (_, vec) in enumerate(self.entries):
+            norm = vec.norm
             for d, v in zip(*vec.support):
                 if d in postings:
                     positions, values = postings[d]
                     positions.append(i)
-                    values.append(v)
+                    values.append(v / norm)
                 else:
-                    postings[d] = ([i], [v])
+                    postings[d] = ([i], array("d", (v / norm,)))
         return postings
 
     def _sparse_scores(self, q: EmbeddingVector, k: int) -> tuple[Sequence[int], list[float]]:
@@ -307,20 +325,20 @@ class MemoryIndex:
                 # A plain loop: it measured faster than a C-level map of setitem.
                 for i, v in zip(positions, values):
                     acc[i] += q_d * v
-        norms = self._norms
-        approx = list(map(operator.truediv, acc, map(operator.mul, repeat(q.norm), norms)))
-        kth = _kth_largest(approx, k)
-        margin = (len(q.support[0]) + 2) * 2.0**-52
-        low = min(1.0, max(-1.0, kth)) - 2 * margin
+        q_norm = q.norm
+        kth = min(q_norm, max(-q_norm, _kth_largest(acc, k)))
+        margin = (len(q.support[0]) + 3) * 2.0**-52
+        low = kth - 2 * margin * q_norm
         kept: Sequence[int] = range(n)
-        if low > -1.0:
-            kept = list(compress(kept, map(operator.le, repeat(low), approx)))
+        if low > -q_norm:
+            kept = list(compress(kept, map(operator.le, repeat(low), acc)))
         q_at = dict(zip(*q.support)).get
+        norms = self._norms
         scores = []
         for i in kept:
             indices, values = self.entries[i][1].support
             dot = math.fsum(map(operator.mul, values, map(q_at, indices, repeat(0.0))))
-            scores.append(min(1.0, max(-1.0, dot / (q.norm * norms[i]))))
+            scores.append(min(1.0, max(-1.0, dot / (q_norm * norms[i]))))
         return kept, scores
 
 

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from helpers import (
     simple_run_fixtures,
 )
 from test_acceptance import GOLDEN_RUN_SHA256
-from transact.cli import EXIT_GATE, EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, main
+from transact.cli import EXIT_GATE, EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, _summary_line, main
 from transact.core import (
     fingerprint_scenario,
     parse_transcript,
@@ -55,6 +56,24 @@ def fixture_file(tmp_path, scenario_file):
 
 def run_cli(*args: str) -> int:
     return main([str(a) for a in args])
+
+
+def bundled_run_command(out: Path) -> list[str]:
+    """``transact run`` of the bundled scenario and fixtures, writing ``out``."""
+    return [
+        sys.executable, "-m", "transact", "run",
+        "--scenario", str(asset_path("stupid.json")),
+        "--fixtures", str(asset_path("stupid_fixtures.json")),
+        "--out", str(out),
+    ]
+
+
+def subprocess_env(**extra: str) -> dict[str, str]:
+    """The environment for ``python -m transact`` in a child process, with
+    this checkout's ``transact`` first on its path."""
+    src = str(Path(transact.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
 
 
 
@@ -311,6 +330,66 @@ class TestRun:
         assert code == EXIT_OK
         printed = re.search(r"transcript hash: (\w+)", capsys.readouterr().out).group(1)
         assert printed == GOLDEN_RUN_SHA256
+
+    def test_reader_that_closes_stdout_after_the_first_line_stops_only_the_summary(
+        self, tmp_path, golden_transcript
+    ):
+        fcntl = pytest.importorskip("fcntl")
+        termios = pytest.importorskip("termios")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("needs a pipe whose capacity can be set")
+        # A one-page pipe, filled so that the first summary line fills it
+        # exactly: the run cannot write its second line before the read end
+        # is closed, however the two processes are scheduled.
+        first = (_summary_line(golden_transcript.utterances[0]) + "\n").encode("utf-8")
+        r, w = os.pipe()
+        size = fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1)  # rounded up to one page
+        os.write(w, b"-" * (size - len(first)))
+        out = tmp_path / "piped.json"
+        proc = subprocess.Popen(
+            bundled_run_command(out), stdout=w, stderr=subprocess.PIPE, text=True,
+            cwd=tmp_path, env=subprocess_env(PYTHONUNBUFFERED="1"),
+        )
+        os.close(w)
+
+        def queued() -> int:
+            count = bytearray(4)
+            fcntl.ioctl(r, termios.FIONREAD, count)
+            return int.from_bytes(count, sys.byteorder)
+
+        deadline = time.monotonic() + 60
+        try:
+            while queued() < size:
+                assert proc.poll() is None, "the run ended before its first line filled the pipe"
+                assert time.monotonic() < deadline, "the first line never filled the pipe"
+                time.sleep(0.005)
+        finally:
+            os.close(r)  # the child's next write fails with EPIPE
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_RUNTIME
+        assert err == "error: [Errno 32] Broken pipe\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_RUN_SHA256
+        assert (tmp_path / "piped.json.log").stat().st_size > 0
+
+    def test_buffered_stdout_to_a_closed_pipe_fails_once_after_the_whole_run(self, tmp_path):
+        # Block-buffered, the lines reach the pipe only when stdout is flushed
+        # after the run, and what the failed flush left buffered must not fail
+        # again as the interpreter exits.
+        r, w = os.pipe()
+        os.close(r)
+        env = subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        out = tmp_path / "piped.json"
+        try:
+            proc = subprocess.run(
+                bundled_run_command(out), stdout=w, stderr=subprocess.PIPE, text=True,
+                timeout=120, cwd=tmp_path, env=env,
+            )
+        finally:
+            os.close(w)
+        assert proc.returncode == EXIT_RUNTIME
+        assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_RUN_SHA256
 
 
 class TestAnalyze:
@@ -588,8 +667,6 @@ class TestInteractive:
         ]
 
     def test_prompt_goes_to_stderr_so_stdout_keeps_only_the_run(self, tmp_path):
-        src = str(Path(transact.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [
                 sys.executable, "-m", "transact", "interactive", "--as", "Jordan",
@@ -598,8 +675,7 @@ class TestInteractive:
                 "--out", str(tmp_path / "mine.json"),
             ],
             input="I think we should look at the numbers together.\n",
-            capture_output=True, text=True, timeout=120, cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True, text=True, timeout=120, cwd=tmp_path, env=subprocess_env(),
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "Jordan> " in proc.stderr
@@ -630,3 +706,22 @@ class TestInteractive:
         assert partial.termination_reason is None
         assert [u.speaker for u in partial.utterances] == ["Jordan", "Alex", "Jordan"]
         assert_run_log_ends_in_failed_turn(tmp_path / "partial.json.log", 3)
+
+
+@pytest.mark.parametrize(
+    "command, located",
+    [
+        (("validate", "--scenario", "{deep}"), "scenario does not parse"),
+        (
+            ("run", "--scenario", str(asset_path("stupid.json")), "--fixtures", "{deep}"),
+            "fixture file does not parse",
+        ),
+        (("analyze", "--transcript", "{deep}"), "transcript does not parse"),
+    ],
+    ids=["validate", "run", "analyze"],
+)
+def test_input_nested_too_deeply_is_input_error(tmp_path, capsys, command, located):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert run_cli(*(arg.format(deep=deep) for arg in command)) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {located}: not valid JSON: nested too deeply\n"

@@ -155,6 +155,34 @@ class TestCosine:
             with pytest.raises(MemoryIndexError, match=r"support indices must lie in \[0, 6\)"):
                 EmbeddingVector.sparse(6, indices, [1.0, 2.0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False)
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_norm_is_set_when_built_with_the_bits_of_its_definition(self, values):
+        try:
+            definition = math.sqrt(math.fsum(x * x for x in values))
+        except OverflowError:  # the squares' exact sum is beyond the float range
+            definition = math.inf
+        n = len(values)
+        built = {
+            "init": EmbeddingVector(tuple(values)),
+            # At most half of the entries filled: the vector keeps its support.
+            "sparse": EmbeddingVector.sparse(2 * n, range(0, 2 * n, 2), values),
+            # More than half filled: the whole vector, as ``__init__`` keeps it.
+            "dense": EmbeddingVector.sparse(n, range(n), values),
+        }
+        assert "values" not in vars(built["sparse"])
+        for form, v in built.items():
+            assert "norm" in vars(v), form
+            assert v.norm.hex() == definition.hex(), form
+
     # Each was accepted once: [2, 2] kept the norm of both values but the
     # second value alone, so it read cosine 0.8 with the unit vector at 2.
     @pytest.mark.parametrize(
@@ -588,6 +616,35 @@ class TestBatchScorer:
         assert cosine_oracle(query, vectors[0]) < cosine_oracle(query, vectors[1])
         idx, embedder = self.search_case(query, vectors, k=1)
         assert [rec.id for rec, _ in search_top_k(idx, "q", 1, embedder)] == ["e01"]
+
+    def test_near_ties_of_scaled_copies_across_the_norm_domain(self):
+        # Copies of two vectors, each scaled by a random factor that puts its
+        # norm anywhere in [2**-400, 2**400]. Rounding spreads their exact
+        # cosines over adjacent floats, so nearly every k-th score has entries
+        # one ulp above and one ulp below it, and the norm-scaled postings
+        # must keep them all for the exact step.
+        rng = random.Random(400)
+        bases = [(0.3, -1.2, 0, 0.7, 0, 0, 2.5, 0), (0, -1.1, 0, 0.8, 0, 0.4, 2.4, 0)]
+
+        def scaled(v, exponent: int) -> tuple[float, ...]:
+            s = rng.uniform(1.0, 2.0) * 2.0**exponent
+            return tuple(x * s for x in v)
+
+        vectors = [scaled(bases[i % 2], rng.randint(-398, 396)) for i in range(120)]
+        norms = [vec(*v).norm for v in vectors]
+        assert min(norms) < 2.0**-390 and max(norms) > 2.0**390
+        for exponent in (-399, 0, 398):
+            query = scaled((0, -0.9, 0, 0.4, 0, 0, 1.7, 0), exponent)
+            exact = sorted((cosine_oracle(query, v) for v in vectors), reverse=True)
+            ks = [
+                k
+                for k, kth in enumerate(exact, 1)
+                if {math.nextafter(kth, 2.0), math.nextafter(kth, -2.0)} <= set(exact)
+            ]
+            assert len(ks) > len(vectors) // 2
+            idx, embedder = self.search_case(query, vectors, k=ks[0])
+            for k in ks[1:]:
+                assert_bit_identical_to_oracle(idx, "q", k, embedder)
 
     def test_subnormal_range_norms_are_rejected(self):
         # Squares of entries near 1e-160 underflow, so such norms lose precision;
