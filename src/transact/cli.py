@@ -203,20 +203,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     provider, embedder = _build_backend(args)
     _check_out(args, log=True)
     run_log = RunLog()
-    if human is not None:
-        print(f"You are {human}. Situation: {cfg.opening_prompt}")
-        print("Type your lines; Ctrl-D ends the conversation.")
 
-    # A failed stdout write (a reader that closed the pipe) stops the summary
+    # A failed stdout write (a reader that closed the pipe) stops the printed
     # lines, not the run: the transcript and run log are still written.
     stdout_fault: list[OSError] = []
 
-    def show(u: Utterance) -> None:
-        if u.speaker != human and not stdout_fault:
+    def say(line: str) -> None:
+        if not stdout_fault:
             try:
-                print(_summary_line(u))
+                print(line)
             except OSError as e:
                 stdout_fault.append(e)
+
+    def show(u: Utterance) -> None:
+        if u.speaker != human:
+            say(_summary_line(u))
+
+    if human is not None:
+        say(f"You are {human}. Situation: {cfg.opening_prompt}")
+        say("Type your lines; Ctrl-D ends the conversation.")
 
     try:
         transcript = run_simulation(

@@ -88,7 +88,19 @@ Vectors and index entries never change after build. What is built on first
 use by ``cached_property`` (a vector's values; an index's values, postings
 and record ids) is a pure function of them, so two threads that race on a
 first use build equal copies and either serves.
-Nothing else is written, so concurrent searches need no lock.
+
+An index also keeps a memo of the searches it has answered: their hits, by
+embedder id, query text and k. A repeated search, as an ego state that sends
+the same cue turn after turn makes, is answered from it without embedding or
+scoring the query again. The ``Embedder`` protocol promises vectors that are
+deterministic per model, so the id stands for the vector. The memo is
+checked after the k and empty-index checks, and written only after a search
+succeeds, so a failed embed or a rejected query raises again the next time.
+Each call returns a new list. An index lives for one run, and the memo holds
+at most one entry per search made in it. The memo is the only thing written
+after build besides the forms above; two threads that race on one search
+compute equal hits, and one dict store replaces the other whole, so
+concurrent searches need no lock.
 """
 
 from __future__ import annotations
@@ -274,6 +286,10 @@ class MemoryIndex:
     dim: int
     # Every cosine divides by the entry's norm.
     _norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # Each answered search's hits, by (embedder id, query, k).
+    _memo: dict[tuple[str, str, int], tuple[tuple[MemoryRecord, float], ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         # Checked once here, so a search can score entries without checking each.
@@ -382,12 +398,17 @@ def search_top_k(
     Returns min(k, len(idx)) results in descending score order; equal scores
     break by ascending record id. Matches a naive score-all-and-fully-sort
     oracle element for element, and every score is bit-identical to
-    ``cosine_similarity(query, entry)``.
+    ``cosine_similarity(query, entry)``. A search this index has answered
+    before, by the same embedder id, query and k, is answered from its memo.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not idx.entries:
         return []
+    key = (embedder.id, query, k)
+    hits = idx._memo.get(key)
+    if hits is not None:
+        return list(hits)
     q = embedder.embed(query)
     if q.dim != idx.dim:
         raise MemoryIndexError(f"query embedded to dim {q.dim}, index dim is {idx.dim}")
@@ -405,4 +426,6 @@ def search_top_k(
     ids = idx.record_ids
     ranked = sorted([(-s, ids[i], i) for i, s in zip(positions, scores) if s >= kth])
     # Negation is exact: each key gives back its score's bits.
-    return [(idx.entries[i][0], -neg) for neg, _, i in ranked[:k]]
+    hits = tuple((idx.entries[i][0], -neg) for neg, _, i in ranked[:k])
+    idx._memo[key] = hits
+    return list(hits)

@@ -482,12 +482,15 @@ HASH_EMBED_DIM = 256
 #: Most distinct tokens one ``HashEmbedder`` remembers the bucket of.
 _BUCKET_MEMO_SIZE = 16_384
 _HASH_SEED = b"transact-hash-embed-v1"
+#: Keyed once: a copy per token skips the key block's compression.
+_KEYED_BLAKE2B = blake2b(digest_size=8, key=_HASH_SEED)
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 def _hash_bucket(dim: int, token: str) -> int:
-    digest = blake2b(token.encode("utf-8"), digest_size=8, key=_HASH_SEED).digest()
-    return int.from_bytes(digest, "big") % dim
+    h = _KEYED_BLAKE2B.copy()
+    h.update(token.encode("utf-8"))
+    return int.from_bytes(h.digest(), "big") % dim
 
 
 class HashEmbedder:

@@ -68,6 +68,21 @@ def bundled_run_command(out: Path) -> list[str]:
     ]
 
 
+def bundled_interactive_command(out: Path) -> list[str]:
+    """``transact interactive --as Jordan`` on the bundled scenario and
+    fixtures, writing ``out``."""
+    return [
+        sys.executable, "-m", "transact", "interactive", "--as", "Jordan",
+        "--scenario", str(asset_path("stupid.json")),
+        "--fixtures", str(asset_path("stupid_fixtures.json")),
+        "--out", str(out),
+    ]
+
+
+#: The one line typed into a bundled interactive run.
+TYPED_LINE = "I think we should look at the numbers together.\n"
+
+
 def subprocess_env(**extra: str) -> dict[str, str]:
     """The environment for ``python -m transact`` in a child process, with
     this checkout's ``transact`` first on its path."""
@@ -668,13 +683,7 @@ class TestInteractive:
 
     def test_prompt_goes_to_stderr_so_stdout_keeps_only_the_run(self, tmp_path):
         proc = subprocess.run(
-            [
-                sys.executable, "-m", "transact", "interactive", "--as", "Jordan",
-                "--scenario", str(asset_path("stupid.json")),
-                "--fixtures", str(asset_path("stupid_fixtures.json")),
-                "--out", str(tmp_path / "mine.json"),
-            ],
-            input="I think we should look at the numbers together.\n",
+            bundled_interactive_command(tmp_path / "mine.json"), input=TYPED_LINE,
             capture_output=True, text=True, timeout=120, cwd=tmp_path, env=subprocess_env(),
         )
         assert proc.returncode == EXIT_OK, proc.stderr
@@ -686,6 +695,32 @@ class TestInteractive:
         assert proc.stdout.splitlines()[-1] == (
             f"transcript hash: {hashlib.sha256(data).hexdigest()}"
         )
+
+    def test_stdout_closed_before_the_intro_stops_only_the_printed_lines(self, tmp_path):
+        # The pipe's read end is closed before the child starts, so its first
+        # write, the intro, fails; the run still plays out and writes the
+        # transcript a run with a working stdout writes.
+        ok = subprocess.run(
+            bundled_interactive_command(tmp_path / "ok.json"), input=TYPED_LINE,
+            capture_output=True, text=True, timeout=120, cwd=tmp_path, env=subprocess_env(),
+        )
+        assert ok.returncode == EXIT_OK, ok.stderr
+        r, w = os.pipe()
+        os.close(r)
+        out = tmp_path / "piped.json"
+        try:
+            proc = subprocess.run(
+                bundled_interactive_command(out), input=TYPED_LINE, stdout=w,
+                stderr=subprocess.PIPE, text=True, timeout=120, cwd=tmp_path,
+                env=subprocess_env(PYTHONUNBUFFERED="1"),
+            )
+        finally:
+            os.close(w)
+        assert proc.returncode == EXIT_RUNTIME
+        assert "Jordan> " in proc.stderr
+        assert proc.stderr.endswith("\nerror: [Errno 32] Broken pipe\n")
+        assert out.read_bytes() == (tmp_path / "ok.json").read_bytes()
+        assert (tmp_path / "piped.json.log").stat().st_size > 0
 
     def test_fixture_underrun_is_runtime_error_with_partial_transcript(
         self, tmp_path, monkeypatch, capsys

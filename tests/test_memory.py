@@ -715,3 +715,147 @@ class TestLazyForms:
         assert vec.support == (range(5), values)
         assert vec.support[1] is values
         assert vec == EmbeddingVector.sparse(5, [1, 2, 3, 4], [0.5, 1.0, 0.25, -2.0])
+
+
+class CountingEmbedder(HashEmbedder):
+    """A hash embedder that counts the texts it embeds."""
+
+    def __init__(self, dim: int = 256) -> None:
+        super().__init__(dim)
+        self.calls: list[str] = []
+
+    def embed(self, text: str) -> EmbeddingVector:
+        self.calls.append(text)
+        return super().embed(text)
+
+
+def hits_hex(hits) -> list[tuple[str, str]]:
+    return [(rec.id, s.hex()) for rec, s in hits]
+
+
+class TestSearchMemo:
+    """A repeated search is answered from the index's memo: the same hits, with
+    the same score bits, and no second embed."""
+
+    def index(self, embedder, n: int = 20) -> MemoryIndex:
+        records = [
+            make_record(f"r{i:02d}", EgoState.ADULT, context=" ".join(WORDS[i : i + 3]))
+            for i in range(n)
+        ]
+        return build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
+
+    def test_a_repeated_search_embeds_its_query_once(self):
+        embedder = CountingEmbedder()
+        idx = self.index(embedder)
+        embedder.calls.clear()
+        first = search_top_k(idx, "budget report error", 3, embedder)
+        again = [search_top_k(idx, "budget report error", 3, embedder) for _ in range(4)]
+        assert embedder.calls == ["budget report error"]
+        assert all(hits_hex(hits) == hits_hex(first) for hits in again)
+        assert all(a is b for hits in again for (a, _), (b, _) in zip(hits, first))
+
+    def test_each_call_returns_its_own_list(self):
+        embedder = HashEmbedder()
+        idx = self.index(embedder)
+        first = search_top_k(idx, "budget report error", 3, embedder)
+        want = hits_hex(first)
+        first.clear()
+        second = search_top_k(idx, "budget report error", 3, embedder)
+        assert second is not first
+        assert hits_hex(second) == want
+        second.reverse()
+        second.append(second[0])
+        assert hits_hex(search_top_k(idx, "budget report error", 3, embedder)) == want
+
+    def test_a_failed_embed_is_not_remembered(self):
+        class FailsOnce(HashEmbedder):
+            failed = False
+
+            def embed(self, text: str) -> EmbeddingVector:
+                if text == "q budget" and not self.failed:
+                    self.failed = True
+                    raise ConnectionError("upstream went away")
+                return super().embed(text)
+
+        embedder = FailsOnce()
+        idx = self.index(embedder)
+        with pytest.raises(ConnectionError):
+            search_top_k(idx, "q budget", 3, embedder)
+        want = [(rid, s.hex()) for rid, s in search_oracle(idx, "q budget", 3, HashEmbedder())]
+        assert len(want) == 3
+        for _ in range(2):
+            assert hits_hex(search_top_k(idx, "q budget", 3, embedder)) == want
+
+    def test_a_rejected_query_is_not_remembered(self):
+        # One embedder id gives the query a zero vector, then one of the wrong
+        # dimension, then a good one: each rejection raises, and only the good
+        # vector's answer is kept.
+        class Drifting(FixedEmbedder):
+            queries = iter([(0.0, 0.0, 0.0), (1.0, 0.0), (0.0, 1.0, 0.0)])
+
+            def embed(self, text: str) -> EmbeddingVector:
+                if text == "q":
+                    return EmbeddingVector(next(self.queries))
+                return super().embed(text)
+
+        embedder = Drifting({"a": (1.0, 0.0, 0.0), "b": (0.0, 1.0, 0.0)})
+        records = [make_record(t, EgoState.ADULT, context=t) for t in ("a", "b")]
+        idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
+        with pytest.raises(MemoryIndexError, match="query embedded to a zero-norm vector"):
+            search_top_k(idx, "q", 1, embedder)
+        with pytest.raises(MemoryIndexError, match="query embedded to dim 2, index dim is 3"):
+            search_top_k(idx, "q", 1, embedder)
+        for _ in range(2):
+            assert [rec.id for rec, _ in search_top_k(idx, "q", 1, embedder)] == ["b"]
+
+    def test_another_k_is_another_search(self):
+        embedder = CountingEmbedder()
+        idx = self.index(embedder)
+        embedder.calls.clear()
+        for k in (1, 3, 20, 3, 1):
+            assert_bit_identical_to_oracle(idx, "budget report error", k, embedder)
+        # The oracle embeds on each of its 5 calls; the search, once per distinct k.
+        assert len(embedder.calls) == 5 + 3
+
+    def test_embedders_with_different_ids_do_not_share_answers(self):
+        table = {"x": (1.0, 0.0), "y": (0.0, 1.0)}
+        build = FixedEmbedder(table, dim=2)
+        records = [make_record(t, EgoState.ADULT, context=t) for t in table]
+        idx = build_index(records, build, agent="X", ego_state=EgoState.ADULT)
+        toward_x = FixedEmbedder({"q": (1.0, 0.1)}, dim=2)
+        toward_y = FixedEmbedder({"q": (0.1, 1.0)}, dim=2)
+        toward_x.id, toward_y.id = "model-x", "model-y"
+        assert [rec.id for rec, _ in search_top_k(idx, "q", 1, toward_x)] == ["x"]
+        assert [rec.id for rec, _ in search_top_k(idx, "q", 1, toward_y)] == ["y"]
+        assert [rec.id for rec, _ in search_top_k(idx, "q", 1, toward_x)] == ["x"]
+
+    def test_each_index_keeps_its_own_memo(self):
+        embedder = CountingEmbedder()
+        first, second = self.index(embedder, n=20), self.index(embedder, n=5)
+        embedder.calls.clear()
+        assert len(search_top_k(first, "budget report error", 10, embedder)) == 10
+        assert len(search_top_k(second, "budget report error", 10, embedder)) == 5
+        assert len(embedder.calls) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_stream_of_repeated_queries_equals_the_oracle_property(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(1, 30))
+    embedder = CountingEmbedder(data.draw(st.sampled_from([8, 32, 256])))
+    records = [
+        make_record(f"r{i:02d}", EgoState.CHILD, context=" ".join(rng.sample(WORDS, 3)))
+        for i in rng.sample(range(100), n)
+    ]
+    idx = build_index(records, embedder, agent="X", ego_state=EgoState.CHILD)
+    pool = [" ".join(rng.sample(WORDS, rng.randint(1, 3))) for _ in range(4)]
+    stream = data.draw(
+        st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([1, 3, 40])), max_size=25)
+    )
+    embedder.calls.clear()
+    for query, k in stream:
+        got = search_top_k(idx, query, k, embedder)
+        want = search_oracle(idx, query, k, HashEmbedder(embedder.dim))
+        assert hits_hex(got) == [(rid, s.hex()) for rid, s in want]
+    assert len(embedder.calls) == len(set(stream))

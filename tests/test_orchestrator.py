@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from helpers import final_step, make_scenario, scores_reply, search_step, simple_run_fixtures
+from test_acceptance import GOLDEN_RUN_SHA256
 from transact.core import (
     EGO_ORDER,
     EgoState,
@@ -247,6 +248,32 @@ class TestRunSimulation:
         sample = next(e for e in log.events if e["kind"] == "provider_call")
         assert {"backend", "agent", "role", "turn", "request_bytes", "response_bytes"} <= set(sample)
 
+    def test_bundled_run_embeds_each_distinct_query_once_and_logs_every_search(
+        self, stupid_scenario, stupid_fixtures
+    ):
+        embedded: list[str] = []
+
+        class Counting(HashEmbedder):
+            def embed(self, text):
+                embedded.append(text)
+                return super().embed(text)
+
+        log = RunLog()
+        t = run_simulation(
+            stupid_scenario, ScriptedProvider(stupid_fixtures), Counting(), run_log=log
+        )
+        assert transcript_hash(t) == GOLDEN_RUN_SHA256
+        records = sum(len(p.memories) for a in stupid_scenario.agents for p in a.personas)
+        events = [e for u in t.utterances for e in u.retrieval_log]
+        assert (records, len(events)) == (60, 30)
+        # Each partition repeats its cue: 6 distinct (partition, query) pairs.
+        cues = {(u.speaker, e.ego_state, e.query) for u in t.utterances for e in u.retrieval_log}
+        assert len(cues) == 6
+        assert len(embedded) == records + 6
+        searches = [e for e in log.events if e["kind"] == "react_step" and e["action"] == "search"]
+        assert [(e["query"], e["hits"]) for e in searches] == [
+            (e.query, len(e.hit_ids)) for e in events
+        ]
 
 class MeetingProvider(ScriptedProvider):
     """A scripted provider that reports the network backend. Each ego state's

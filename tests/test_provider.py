@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import threading
+from hashlib import blake2b
 
 import pytest
 from hypothesis import given, settings
@@ -238,6 +239,13 @@ class TestHashEmbedderMatchesDenseReference:
         assert hex_values(got.values) == hex_values(want)
         # The support the embedder hands over is the one a scan would find.
         assert got.support == EmbeddingVector(got.values).support
+
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(1, 2**20), token=st.text(max_size=200))
+    def test_bucket_equals_the_keyed_constructor_definition(self, dim, token):
+        # Tokens up to 800 UTF-8 bytes span several 128-byte blake2b blocks.
+        digest = blake2b(token.encode("utf-8"), digest_size=8, key=b"transact-hash-embed-v1")
+        assert HashEmbedder(dim).bucket(token) == int.from_bytes(digest.digest(), "big") % dim
 
     @pytest.mark.parametrize("dim, text", [(1, "anything at all"), (2, "report mistake report")])
     def test_tiny_dims_give_the_dense_support_form(self, dim, text):
