@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import templates
 from .core import EgoResponse, RetrievalEvent
-from .memory import Embedder, MemoryIndex, search_top_k
+from .memory import MemoryIndex, search_top_k
 from .provider import CallerInfo, ChatMessage, Role, complete_logged
 from .runlog import RunLog
 
@@ -175,11 +175,7 @@ def _system_prompt(ctx: EgoTurnContext, agent: str) -> str:
 
 
 def run_ego_turn(
-    ctx: EgoTurnContext,
-    index: MemoryIndex,
-    provider,
-    embedder: Embedder,
-    run_log: RunLog,
+    ctx: EgoTurnContext, index: MemoryIndex, provider, run_log: RunLog
 ) -> EgoTurnOutcome:
     """Run the budgeted search-then-answer loop for the agent and ego state
     whose memory partition ``index`` holds.
@@ -239,7 +235,7 @@ def run_ego_turn(
             record("coerced_final")
             return finish(step.thought or raw)
 
-        hits = search_top_k(index, step.query, ctx.k, embedder)
+        hits = search_top_k(index, step.query, ctx.k)
         retrieval.append(
             RetrievalEvent(
                 ego_state=ego,

@@ -89,11 +89,11 @@ use by ``cached_property`` (a vector's values; an index's values, postings
 and record ids) is a pure function of them, so two threads that race on a
 first use build equal copies and either serves.
 
-An index also keeps a memo of the searches it has answered: their hits, by
-embedder id, query text and k. A repeated search, as an ego state that sends
-the same cue turn after turn makes, is answered from it without embedding or
-scoring the query again. The ``Embedder`` protocol promises vectors that are
-deterministic per model, so the id stands for the vector. The memo is
+An index holds the embedder that built it and embeds each query with it, so
+a query lands in the vector space of the entries. It also keeps a memo of
+the searches it has answered: their hits, by query text and k. A repeated
+search, as an ego state that sends the same cue turn after turn makes, is
+answered from it without embedding or scoring the query again. The memo is
 checked after the k and empty-index checks, and written only after a search
 succeeds, so a failed embed or a rejected query raises again the next time.
 Each call returns a new list. An index lives for one run, and the memo holds
@@ -278,23 +278,27 @@ def _check_entry(rec: MemoryRecord, vec: EmbeddingVector, dim: int) -> None:
 
 @dataclass(frozen=True)
 class MemoryIndex:
-    """Immutable search index over one (agent, ego state) partition."""
+    """Immutable search index over one (agent, ego state) partition, with the
+    embedder that embedded its records; ``dim`` is 0 when it has no entries."""
 
     agent: str
     ego_state: EgoState
     entries: tuple[tuple[MemoryRecord, EmbeddingVector], ...]
-    dim: int
+    embedder: Embedder = field(repr=False, compare=False)
+    dim: int = field(init=False)
     # Every cosine divides by the entry's norm.
     _norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # Each answered search's hits, by (embedder id, query, k).
-    _memo: dict[tuple[str, str, int], tuple[tuple[MemoryRecord, float], ...]] = field(
+    # Each answered search's hits, by (query, k).
+    _memo: dict[tuple[str, int], tuple[tuple[MemoryRecord, float], ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
     def __post_init__(self) -> None:
+        dim = self.entries[0][1].dim if self.entries else 0
         # Checked once here, so a search can score entries without checking each.
         for rec, vec in self.entries:
-            _check_entry(rec, vec, self.dim)
+            _check_entry(rec, vec, dim)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_norms", tuple(vec.norm for _, vec in self.entries))
 
     def __len__(self) -> int:
@@ -365,7 +369,8 @@ def build_index(
     agent: str,
     ego_state: EgoState,
 ) -> MemoryIndex:
-    """Embed every record's context field and assemble the partition index.
+    """Embed every record's context field and assemble the partition index,
+    which keeps ``embedder`` to embed its queries.
 
     Only ``context`` is embedded; reaction/emotions/tone ride along as payload.
     Rejects records from another partition, embeddings whose norm lies outside
@@ -386,30 +391,28 @@ def build_index(
         # Checked as it arrives too, so a bad record stops the build before the next embed.
         _check_entry(rec, vec, entries[0][1].dim if entries else vec.dim)
         entries.append((rec, vec))
-    dim = entries[0][1].dim if entries else 0
-    return MemoryIndex(agent=agent, ego_state=ego_state, entries=tuple(entries), dim=dim)
+    return MemoryIndex(agent, ego_state, tuple(entries), embedder)
 
 
-def search_top_k(
-    idx: MemoryIndex, query: str, k: int, embedder: Embedder
-) -> list[tuple[MemoryRecord, float]]:
-    """Exact top-k by cosine similarity of the embedded query against every entry.
+def search_top_k(idx: MemoryIndex, query: str, k: int) -> list[tuple[MemoryRecord, float]]:
+    """Exact top-k by cosine similarity of the query, embedded by
+    ``idx.embedder``, against every entry.
 
     Returns min(k, len(idx)) results in descending score order; equal scores
     break by ascending record id. Matches a naive score-all-and-fully-sort
     oracle element for element, and every score is bit-identical to
     ``cosine_similarity(query, entry)``. A search this index has answered
-    before, by the same embedder id, query and k, is answered from its memo.
+    before, by the same query and k, is answered from its memo.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not idx.entries:
         return []
-    key = (embedder.id, query, k)
+    key = (query, k)
     hits = idx._memo.get(key)
     if hits is not None:
         return list(hits)
-    q = embedder.embed(query)
+    q = idx.embedder.embed(query)
     if q.dim != idx.dim:
         raise MemoryIndexError(f"query embedded to dim {q.dim}, index dim is {idx.dim}")
     fault = _norm_fault(q)

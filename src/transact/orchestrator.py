@@ -113,7 +113,6 @@ def step_turn(
     cfg: ScenarioConfig,
     utterances: Sequence[Utterance],
     provider,
-    embedder: Embedder,
     indices: Mapping[PartitionKey, MemoryIndex],
     run_log: RunLog,
     executor: Executor | None = None,
@@ -147,7 +146,6 @@ def step_turn(
             ),
             indices[(agent.name, ego)],
             provider,
-            embedder,
             ego_log,
         )
         for ego, ego_log in zip(EGO_ORDER, ego_logs)
@@ -269,7 +267,7 @@ def run_simulation(
                 if speaker == human_agent:
                     utterance = _human_turn(cfg, utterances, input_fn, log)
                 else:
-                    utterance = step_turn(cfg, utterances, provider, embedder, indices, log, pool)
+                    utterance = step_turn(cfg, utterances, provider, indices, log, pool)
                 # Kept before the callback, so a stop raised there keeps this turn.
                 utterances.append(utterance)
                 if on_utterance is not None:

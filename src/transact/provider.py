@@ -43,8 +43,9 @@ DEFAULT_BASE_URL = "https://api.openai.com/v1"
 DEFAULT_MODEL = "gpt-4o"
 DEFAULT_EMBEDDER_MODEL = "text-embedding-3-small"
 DEFAULT_TIMEOUT_MS = 30_000
-#: The longest request timeout in ms, about 24.8 days: a socket cannot wait
-#: much over 9e9 s, and a larger value would fail only at the first request.
+#: The longest timeout in ms, about 24.8 days: a socket cannot wait much over
+#: 9e9 s, and a larger value would fail only at the first request. The timeout
+#: bounds each socket wait (connect, send, each read), not a whole request.
 MAX_TIMEOUT_MS = 2**31 - 1
 #: How many times a failed HTTP request is retried, and the wait before each
 #: retry in seconds when the reply names none (see ``_Endpoint``).
@@ -346,7 +347,8 @@ class _Endpoint:
     retried ``MAX_RETRIES`` times, after the reply's ``Retry-After`` seconds
     on 429 and 503 (at most the timeout) or else after ``RETRY_DELAY_S``. A
     body is read no further than ``RESPONSE_BYTE_CAP`` bytes: a longer one is
-    a provider error.
+    a provider error. The timeout is each socket wait's (connect, send, each
+    read), not the whole request's: a reply that trickles in may take longer.
     """
 
     def __init__(self, config: ProviderConfig, api_key: str, path: str) -> None:

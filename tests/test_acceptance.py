@@ -76,7 +76,7 @@ def test_criterion_1_retrieval_oracle_equivalence():
     for _ in range(20):
         query = " ".join(rng.sample(WORDS, rng.randint(1, 4)))
         for k in (1, 3, 10):
-            got = search_top_k(idx, query, k, embedder)
+            got = search_top_k(idx, query, k)
             want = search_oracle(idx, query, k, embedder)
             assert [rec.id for rec, _ in got] == [rid for rid, _ in want]
             for (_, gscore), (_, wscore) in zip(got, want):

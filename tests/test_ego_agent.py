@@ -179,7 +179,6 @@ def child_index(n: int = 6, embedder=None):
 
 class TestRunEgoTurn:
     def test_one_search_then_final(self):
-        embedder = HashEmbedder()
         idx = child_index()
         provider = ScriptedProvider(
             [
@@ -188,7 +187,7 @@ class TestRunEgoTurn:
             ]
         )
         log = RunLog()
-        outcome = run_ego_turn(make_ctx(), idx, provider, embedder, log)
+        outcome = run_ego_turn(make_ctx(), idx, provider, log)
         r = outcome.response
         assert r.searches_performed == 1
         assert r.text == "I cannot deal with this."
@@ -199,13 +198,12 @@ class TestRunEgoTurn:
         assert log.count("provider_call") == 2
 
     def test_adversarial_ego_is_capped_at_budget(self):
-        embedder = HashEmbedder()
         idx = child_index()
         provider = ScriptedProvider(
             [("Jordan/Child", search_step(f"attempt {i}")) for i in range(12)]
         )
         log = RunLog()
-        outcome = run_ego_turn(make_ctx(budget=5), idx, provider, embedder, log)
+        outcome = run_ego_turn(make_ctx(budget=5), idx, provider, log)
         assert outcome.response.searches_performed == 5
         assert len(outcome.retrieval) == 5
         # Budget searches, then one coerced finalization call.
@@ -221,14 +219,13 @@ class TestRunEgoTurn:
                 ("Jordan/Child", final_step("I will just say what I feel.", "worry", "soft")),
             ]
         )
-        outcome = run_ego_turn(make_ctx(), empty, provider, embedder, RunLog())
+        outcome = run_ego_turn(make_ctx(), empty, provider, RunLog())
         assert outcome.response.memories_used == ()
         assert outcome.response.text == "I will just say what I feel."
         observation = provider.call_log[1].messages[-1].content
         assert "no memories found" in observation
 
     def test_malformed_step_retries_once_then_succeeds(self):
-        embedder = HashEmbedder()
         idx = child_index()
         provider = ScriptedProvider(
             [
@@ -236,14 +233,13 @@ class TestRunEgoTurn:
                 ("Jordan/Child", final_step("Recovered.", "calm", "even")),
             ]
         )
-        outcome = run_ego_turn(make_ctx(), idx, provider, embedder, RunLog())
+        outcome = run_ego_turn(make_ctx(), idx, provider, RunLog())
         assert outcome.response.text == "Recovered."
         assert outcome.malformed_steps == 1
         retry_note = provider.call_log[1].messages[-1].content
         assert "malformed" in retry_note
 
     def test_two_malformed_steps_force_fallback(self):
-        embedder = HashEmbedder()
         idx = child_index()
         provider = ScriptedProvider(
             [
@@ -252,14 +248,13 @@ class TestRunEgoTurn:
             ]
         )
         log = RunLog()
-        outcome = run_ego_turn(make_ctx(), idx, provider, embedder, log)
+        outcome = run_ego_turn(make_ctx(), idx, provider, log)
         assert outcome.response.searches_performed == 0
         assert outcome.response.text  # non-empty fallback
         assert outcome.malformed_steps == 2
         assert log.count("provider_call") == 2
 
     def test_termination_bound_holds_in_all_scripted_paths(self):
-        embedder = HashEmbedder()
         idx = child_index()
         budget = 3
         scripts = [
@@ -270,37 +265,30 @@ class TestRunEgoTurn:
         for script in scripts:
             provider = ScriptedProvider([("Jordan/Child", s) for s in script])
             log = RunLog()
-            outcome = run_ego_turn(
-                make_ctx(budget=budget), idx, provider, embedder, log
-            )
+            outcome = run_ego_turn(make_ctx(budget=budget), idx, provider, log)
             assert log.count("provider_call") <= budget + 2
             assert outcome.response.searches_performed <= budget
 
     def test_identical_inputs_give_identical_responses(self):
-        embedder = HashEmbedder()
         idx = child_index()
         script = [
             ("Jordan/Child", search_step("mistake report")),
             ("Jordan/Child", final_step("Deterministic line.", "calm", "flat")),
         ]
         first, second = (
-            run_ego_turn(
-                make_ctx(), idx, ScriptedProvider(script), embedder, RunLog()
-            )
+            run_ego_turn(make_ctx(), idx, ScriptedProvider(script), RunLog())
             for _ in range(2)
         )
         assert first.response == second.response
         assert first.retrieval == second.retrieval
 
     def test_provider_error_propagates(self):
-        embedder = HashEmbedder()
         idx = child_index()
         provider = ScriptedProvider([])  # immediate underrun
         with pytest.raises(ProviderError):
-            run_ego_turn(make_ctx(), idx, provider, embedder, RunLog())
+            run_ego_turn(make_ctx(), idx, provider, RunLog())
 
     def test_observations_accumulate_in_the_scratchpad(self):
-        embedder = HashEmbedder()
         idx = child_index()
         provider = ScriptedProvider(
             [
@@ -309,13 +297,12 @@ class TestRunEgoTurn:
                 ("Jordan/Child", final_step("done")),
             ]
         )
-        run_ego_turn(make_ctx(), idx, provider, embedder, RunLog())
+        run_ego_turn(make_ctx(), idx, provider, RunLog())
         final_call_messages = provider.call_log[2].messages
         observations = [m.content for m in final_call_messages if m.content.startswith("Observation:")]
         assert len(observations) == 2
 
     def test_budget_directive_appears_after_last_allowed_search(self):
-        embedder = HashEmbedder()
         idx = child_index()
         provider = ScriptedProvider(
             [
@@ -324,9 +311,7 @@ class TestRunEgoTurn:
                 ("Jordan/Child", final_step("closing line")),
             ]
         )
-        outcome = run_ego_turn(
-            make_ctx(budget=2), idx, provider, embedder, RunLog()
-        )
+        outcome = run_ego_turn(make_ctx(budget=2), idx, provider, RunLog())
         assert outcome.response.searches_performed == 2
         last_prompt = provider.call_log[2].messages
         assert any("budget exhausted" in m.content.lower() for m in last_prompt)
@@ -404,10 +389,7 @@ class TestRunEgoTurnProperty:
             [("Jordan/Child", render_reply(*reply)) for reply in replies]
         )
         log = RunLog()
-        outcome = run_ego_turn(
-            make_ctx(budget=budget, k=k), self.INDEX, provider,
-            HashEmbedder(), log,
-        )
+        outcome = run_ego_turn(make_ctx(budget=budget, k=k), self.INDEX, provider, log)
         calls, queries, malformed, actions, final = ego_turn_oracle(replies, budget)
         assert calls <= budget + 2
         assert log.count("provider_call") == calls

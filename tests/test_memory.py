@@ -213,7 +213,8 @@ class TestBuildIndex:
     def test_empty_records_allowed_and_search_returns_nothing(self):
         idx = build_index([], HashEmbedder(), agent="Jordan", ego_state=EgoState.CHILD)
         assert len(idx) == 0
-        assert search_top_k(idx, "anything", 3, HashEmbedder()) == []
+        assert idx.dim == 0
+        assert search_top_k(idx, "anything", 3) == []
 
     def test_identical_contexts_embed_identically(self):
         embedder = HashEmbedder()
@@ -228,9 +229,15 @@ class TestBuildIndex:
             build_index([alien], HashEmbedder(), agent="X", ego_state=EgoState.CHILD)
 
     def test_index_rejects_an_entry_of_the_wrong_dimension(self):
-        rec = make_record("wide", EgoState.CHILD)
+        ok = make_record("ok", EgoState.CHILD)
+        wide = make_record("wide", EgoState.CHILD)
         with pytest.raises(MemoryIndexError, match="'wide' embedded to dim 3, index dim is 2"):
-            MemoryIndex(agent="X", ego_state=EgoState.CHILD, entries=((rec, vec(1, 0, 0)),), dim=2)
+            MemoryIndex(
+                agent="X",
+                ego_state=EgoState.CHILD,
+                entries=((ok, vec(0, 1)), (wide, vec(1, 0, 0))),
+                embedder=FixedEmbedder({}, dim=2),
+            )
 
     def test_index_rejects_a_zero_norm_entry(self):
         ok = make_record("ok", EgoState.CHILD)
@@ -240,7 +247,7 @@ class TestBuildIndex:
                 agent="X",
                 ego_state=EgoState.CHILD,
                 entries=((ok, vec(0, 1)), (zero, vec(0, -0.0))),
-                dim=2,
+                embedder=FixedEmbedder({}, dim=2),
             )
 
     def test_index_rejects_an_entry_whose_norm_overflows(self):
@@ -255,7 +262,7 @@ class TestBuildIndex:
                 agent="X",
                 ego_state=EgoState.CHILD,
                 entries=((ok, vec(0, 1)), (huge, vec(1e200, 1e200))),
-                dim=2,
+                embedder=embedder,
             )
 
     def test_index_rejects_an_entry_whose_norm_lies_outside_the_domain(self):
@@ -301,7 +308,7 @@ class FixedEmbedder:
 
 
 def assert_bit_identical_to_oracle(idx, query: str, k: int, embedder) -> None:
-    got = search_top_k(idx, query, k, embedder)
+    got = search_top_k(idx, query, k)
     want = search_oracle(idx, query, k, embedder)
     assert [rec.id for rec, _ in got] == [rid for rid, _ in want]
     assert [s.hex() for _, s in got] == [s.hex() for _, s in want]
@@ -322,14 +329,14 @@ class TestSearchTopK:
             for i in range(5)
         ]
         idx = build_index(problem + unrelated, embedder, agent="Jordan", ego_state=EgoState.CHILD)
-        hits = search_top_k(idx, "mistake in the financial report", 5, embedder)
+        hits = search_top_k(idx, "mistake in the financial report", 5)
         assert all(rec.id.startswith("p") for rec, _ in hits)
 
     def test_verbatim_context_scores_one(self):
         embedder = HashEmbedder()
         rec = make_record("hit", EgoState.ADULT, context="an exact verbatim context line")
         idx = build_index([rec], embedder, agent="X", ego_state=EgoState.ADULT)
-        [(top, score)] = search_top_k(idx, "an exact verbatim context line", 1, embedder)
+        [(top, score)] = search_top_k(idx, "an exact verbatim context line", 1)
         assert top.id == "hit"
         assert score == pytest.approx(1.0, abs=1e-9)
 
@@ -387,7 +394,7 @@ class TestSearchTopK:
         embedder = HashEmbedder()
         records = [make_record(f"r{i}", EgoState.ADULT, context=WORDS[i]) for i in range(4)]
         idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
-        assert len(search_top_k(idx, "report", 50, embedder)) == 4
+        assert len(search_top_k(idx, "report", 50)) == 4
         assert_bit_identical_to_oracle(idx, "report", 50, embedder)
 
     def test_results_for_k_are_prefix_of_k_plus_one(self):
@@ -400,8 +407,8 @@ class TestSearchTopK:
         idx = build_index(records, embedder, agent="X", ego_state=EgoState.PARENT)
         query = "budget report error"
         for k in range(1, 20):
-            smaller = search_top_k(idx, query, k, embedder)
-            larger = search_top_k(idx, query, k + 1, embedder)
+            smaller = search_top_k(idx, query, k)
+            larger = search_top_k(idx, query, k + 1)
             assert larger[: len(smaller)] == smaller
 
     def test_scores_descend_and_stay_in_range(self):
@@ -412,7 +419,7 @@ class TestSearchTopK:
             for i in range(15)
         ]
         idx = build_index(records, embedder, agent="X", ego_state=EgoState.CHILD)
-        hits = search_top_k(idx, "ledger risk audit", 15, embedder)
+        hits = search_top_k(idx, "ledger risk audit", 15)
         scores = [s for _, s in hits]
         assert all(-1.0 <= s <= 1.0 for s in scores)
         assert scores == sorted(scores, reverse=True)
@@ -431,7 +438,7 @@ class TestSearchTopK:
             make_record("mm", EgoState.ADULT, context="close"),
         ]
         idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
-        hits = search_top_k(idx, "q", 3, embedder)
+        hits = search_top_k(idx, "q", 3)
         assert [rec.id for rec, _ in hits] == ["mm", "aa", "zz"]
 
     def test_query_whose_norm_overflows_rejected(self):
@@ -441,7 +448,7 @@ class TestSearchTopK:
             ego_state=EgoState.ADULT,
         )
         with pytest.raises(MemoryIndexError, match="query embedded to a vector whose norm is not finite"):
-            search_top_k(idx, "huge", 1, embedder)
+            search_top_k(idx, "huge", 1)
 
     def test_self_cosine_rounding_above_one_is_clamped(self):
         # Raw, (1, 1, 1) against itself is 1.0000000000000002; clamped, it ties
@@ -453,7 +460,7 @@ class TestSearchTopK:
             make_record("unit", EgoState.ADULT, context="unit"),
         ]
         idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
-        hits = search_top_k(idx, "ones", 3, embedder)
+        hits = search_top_k(idx, "ones", 3)
         assert [(rec.id, s.hex()) for rec, s in hits[:2]] == [
             ("a-ones", (1.0).hex()), ("b-ones", (1.0).hex())
         ]
@@ -477,7 +484,7 @@ class TestSearchTopK:
         contexts = ["miss-4", "hit-b", "miss-2", "miss-3", "hit-a", "miss-1"]
         records = [make_record(i, EgoState.ADULT, context=c) for i, c in zip(ids, contexts)]
         idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
-        hits = search_top_k(idx, "q", 5, embedder)
+        hits = search_top_k(idx, "q", 5)
         assert [rec.id for rec, _ in hits] == ["h-a", "h-b", "m1", "m2", "m4"]
         assert all(s > 0.0 for _, s in hits[:2])
         assert all(s == 0.0 and math.copysign(1.0, s) == 1.0 for _, s in hits[2:])
@@ -487,14 +494,14 @@ class TestSearchTopK:
         embedder = FixedEmbedder({"q": (0.0, 0.0, 1.0, 0.0), "e": (1.0, 0.0, 0.0, 0.0)}, dim=4)
         records = [make_record(f"r{i}", EgoState.ADULT, context="e") for i in (3, 1, 2)]
         idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
-        hits = search_top_k(idx, "q", 2, embedder)
+        hits = search_top_k(idx, "q", 2)
         assert [rec.id for rec, _ in hits] == ["r1", "r2"]
         assert [s.hex() for _, s in hits] == [(0.0).hex()] * 2
 
     def test_k_must_be_positive(self):
         idx = build_index([], HashEmbedder(), agent="X", ego_state=EgoState.ADULT)
         with pytest.raises(ValueError):
-            search_top_k(idx, "q", 0, HashEmbedder())
+            search_top_k(idx, "q", 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -543,10 +550,10 @@ def test_search_equals_oracle_property(data):
     idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
     if query in outside:
         with pytest.raises(MemoryIndexError, match="query embedded to " + OUTSIDE):
-            search_top_k(idx, query, k, embedder)
+            search_top_k(idx, query, k)
         return
     assert_bit_identical_to_oracle(idx, query, k, embedder)
-    assert len(search_top_k(idx, query, k, embedder)) == min(k, n)
+    assert len(search_top_k(idx, query, k)) == min(k, n)
 
 
 class TestBatchScorer:
@@ -579,8 +586,8 @@ class TestBatchScorer:
         ]
         vectors = [v for v in vectors if any(v)]
         query = (-1.0, 0.0, -2.5, 0.0, 0.0, -0.5, 0.0, 0.0)
-        idx, embedder = self.search_case(query, vectors, k=5)
-        assert all(s >= 0.0 for _, s in search_top_k(idx, "q", len(idx), embedder))
+        idx, _ = self.search_case(query, vectors, k=5)
+        assert all(s >= 0.0 for _, s in search_top_k(idx, "q", len(idx)))
         self.search_case(tuple(-x for x in query), vectors, k=5)
 
     def test_dense_1536_dimension_vectors(self):
@@ -614,8 +621,8 @@ class TestBatchScorer:
 
         assert naive_cosine(query, vectors[0]) > naive_cosine(query, vectors[1])
         assert cosine_oracle(query, vectors[0]) < cosine_oracle(query, vectors[1])
-        idx, embedder = self.search_case(query, vectors, k=1)
-        assert [rec.id for rec, _ in search_top_k(idx, "q", 1, embedder)] == ["e01"]
+        idx, _ = self.search_case(query, vectors, k=1)
+        assert [rec.id for rec, _ in search_top_k(idx, "q", 1)] == ["e01"]
 
     def test_near_ties_of_scaled_copies_across_the_norm_domain(self):
         # Copies of two vectors, each scaled by a random factor that puts its
@@ -681,7 +688,7 @@ class TestLazyForms:
         ]
         idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
         for k in (1, 3, 25):
-            search_top_k(idx, "budget report error", k, embedder)
+            search_top_k(idx, "budget report error", k)
         assert "_postings" in vars(idx)
         assert "_values" not in vars(idx)
         assert len(seen) == 28
@@ -748,8 +755,8 @@ class TestSearchMemo:
         embedder = CountingEmbedder()
         idx = self.index(embedder)
         embedder.calls.clear()
-        first = search_top_k(idx, "budget report error", 3, embedder)
-        again = [search_top_k(idx, "budget report error", 3, embedder) for _ in range(4)]
+        first = search_top_k(idx, "budget report error", 3)
+        again = [search_top_k(idx, "budget report error", 3) for _ in range(4)]
         assert embedder.calls == ["budget report error"]
         assert all(hits_hex(hits) == hits_hex(first) for hits in again)
         assert all(a is b for hits in again for (a, _), (b, _) in zip(hits, first))
@@ -757,15 +764,15 @@ class TestSearchMemo:
     def test_each_call_returns_its_own_list(self):
         embedder = HashEmbedder()
         idx = self.index(embedder)
-        first = search_top_k(idx, "budget report error", 3, embedder)
+        first = search_top_k(idx, "budget report error", 3)
         want = hits_hex(first)
         first.clear()
-        second = search_top_k(idx, "budget report error", 3, embedder)
+        second = search_top_k(idx, "budget report error", 3)
         assert second is not first
         assert hits_hex(second) == want
         second.reverse()
         second.append(second[0])
-        assert hits_hex(search_top_k(idx, "budget report error", 3, embedder)) == want
+        assert hits_hex(search_top_k(idx, "budget report error", 3)) == want
 
     def test_a_failed_embed_is_not_remembered(self):
         class FailsOnce(HashEmbedder):
@@ -780,14 +787,14 @@ class TestSearchMemo:
         embedder = FailsOnce()
         idx = self.index(embedder)
         with pytest.raises(ConnectionError):
-            search_top_k(idx, "q budget", 3, embedder)
+            search_top_k(idx, "q budget", 3)
         want = [(rid, s.hex()) for rid, s in search_oracle(idx, "q budget", 3, HashEmbedder())]
         assert len(want) == 3
         for _ in range(2):
-            assert hits_hex(search_top_k(idx, "q budget", 3, embedder)) == want
+            assert hits_hex(search_top_k(idx, "q budget", 3)) == want
 
     def test_a_rejected_query_is_not_remembered(self):
-        # One embedder id gives the query a zero vector, then one of the wrong
+        # The embedder gives the query a zero vector, then one of the wrong
         # dimension, then a good one: each rejection raises, and only the good
         # vector's answer is kept.
         class Drifting(FixedEmbedder):
@@ -802,11 +809,11 @@ class TestSearchMemo:
         records = [make_record(t, EgoState.ADULT, context=t) for t in ("a", "b")]
         idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
         with pytest.raises(MemoryIndexError, match="query embedded to a zero-norm vector"):
-            search_top_k(idx, "q", 1, embedder)
+            search_top_k(idx, "q", 1)
         with pytest.raises(MemoryIndexError, match="query embedded to dim 2, index dim is 3"):
-            search_top_k(idx, "q", 1, embedder)
+            search_top_k(idx, "q", 1)
         for _ in range(2):
-            assert [rec.id for rec, _ in search_top_k(idx, "q", 1, embedder)] == ["b"]
+            assert [rec.id for rec, _ in search_top_k(idx, "q", 1)] == ["b"]
 
     def test_another_k_is_another_search(self):
         embedder = CountingEmbedder()
@@ -817,24 +824,12 @@ class TestSearchMemo:
         # The oracle embeds on each of its 5 calls; the search, once per distinct k.
         assert len(embedder.calls) == 5 + 3
 
-    def test_embedders_with_different_ids_do_not_share_answers(self):
-        table = {"x": (1.0, 0.0), "y": (0.0, 1.0)}
-        build = FixedEmbedder(table, dim=2)
-        records = [make_record(t, EgoState.ADULT, context=t) for t in table]
-        idx = build_index(records, build, agent="X", ego_state=EgoState.ADULT)
-        toward_x = FixedEmbedder({"q": (1.0, 0.1)}, dim=2)
-        toward_y = FixedEmbedder({"q": (0.1, 1.0)}, dim=2)
-        toward_x.id, toward_y.id = "model-x", "model-y"
-        assert [rec.id for rec, _ in search_top_k(idx, "q", 1, toward_x)] == ["x"]
-        assert [rec.id for rec, _ in search_top_k(idx, "q", 1, toward_y)] == ["y"]
-        assert [rec.id for rec, _ in search_top_k(idx, "q", 1, toward_x)] == ["x"]
-
     def test_each_index_keeps_its_own_memo(self):
         embedder = CountingEmbedder()
         first, second = self.index(embedder, n=20), self.index(embedder, n=5)
         embedder.calls.clear()
-        assert len(search_top_k(first, "budget report error", 10, embedder)) == 10
-        assert len(search_top_k(second, "budget report error", 10, embedder)) == 5
+        assert len(search_top_k(first, "budget report error", 10)) == 10
+        assert len(search_top_k(second, "budget report error", 10)) == 5
         assert len(embedder.calls) == 2
 
 
@@ -855,7 +850,7 @@ def test_a_stream_of_repeated_queries_equals_the_oracle_property(data):
     )
     embedder.calls.clear()
     for query, k in stream:
-        got = search_top_k(idx, query, k, embedder)
+        got = search_top_k(idx, query, k)
         want = search_oracle(idx, query, k, HashEmbedder(embedder.dim))
         assert hits_hex(got) == [(rid, s.hex()) for rid, s in want]
     assert len(embedder.calls) == len(set(stream))

@@ -34,32 +34,29 @@ from transact.runlog import RunLog
 class TestStepTurn:
     def test_turn_zero_uses_first_speaker_and_flips(self):
         cfg = make_scenario(max_turns=2, first_speaker="Jordan")
-        embedder = HashEmbedder()
-        indices = build_indices(cfg, embedder)
+        indices = build_indices(cfg, HashEmbedder())
         provider = ScriptedProvider(simple_run_fixtures(cfg))
         utterances = []
-        first = step_turn(cfg, utterances, provider, embedder, indices, RunLog())
+        first = step_turn(cfg, utterances, provider, indices, RunLog())
         assert utterances == []  # the caller keeps the utterance, not step_turn
         assert (first.turn, first.speaker) == (0, "Jordan")
-        second = step_turn(cfg, [first], provider, embedder, indices, RunLog())
+        second = step_turn(cfg, [first], provider, indices, RunLog())
         assert (second.turn, second.speaker) == (1, "Alex")
 
     def test_rejected_when_turn_counter_at_limit(self):
         cfg = make_scenario(max_turns=1)
-        embedder = HashEmbedder()
-        indices = build_indices(cfg, embedder)
+        indices = build_indices(cfg, HashEmbedder())
         provider = ScriptedProvider(simple_run_fixtures(cfg))
-        done = [step_turn(cfg, [], provider, embedder, indices, RunLog())]
+        done = [step_turn(cfg, [], provider, indices, RunLog())]
         calls = len(provider.call_log)
         with pytest.raises(ValueError, match="max_turns"):
-            step_turn(cfg, done, provider, embedder, indices, RunLog())
+            step_turn(cfg, done, provider, indices, RunLog())
         assert len(provider.call_log) == calls
 
     def test_candidates_cover_all_egos_and_retrieval_is_logged(self):
         cfg = make_scenario(max_turns=1)
-        embedder = HashEmbedder()
         provider = ScriptedProvider(simple_run_fixtures(cfg))
-        u = step_turn(cfg, [], provider, embedder, build_indices(cfg, embedder), RunLog())
+        u = step_turn(cfg, [], provider, build_indices(cfg, HashEmbedder()), RunLog())
         assert sorted(c.ego_state.value for c in u.candidates) == ["Adult", "Child", "Parent"]
         assert len(u.retrieval_log) == 3  # one search per ego in the simple fixtures
         assert u.decision.chosen is u.chosen_ego
@@ -67,9 +64,8 @@ class TestStepTurn:
     def test_logs_every_provider_call_in_the_callers_log(self):
         cfg = make_scenario(max_turns=1)
         provider = ScriptedProvider(simple_run_fixtures(cfg))
-        embedder = HashEmbedder()
         log = RunLog()
-        step_turn(cfg, [], provider, embedder, build_indices(cfg, embedder), log)
+        step_turn(cfg, [], provider, build_indices(cfg, HashEmbedder()), log)
         assert log.count("provider_call") == len(provider.call_log) == 7
 
 
