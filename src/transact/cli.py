@@ -182,13 +182,18 @@ def _write_out(t: Transcript, args: argparse.Namespace, run_log: RunLog) -> byte
 
 def _read_line(prompt: str) -> str:
     """``input`` with its prompt on stderr, as bash's ``read -p`` writes it, so
-    stdout holds only the run's own lines."""
+    stdout holds only the run's own lines. A line UTF-8 cannot encode, as a
+    byte stdin could not decode makes it, is refused and read as blank."""
     print(prompt, end="", file=sys.stderr, flush=True)
     try:
-        return input()
+        line = input()
     except EOFError:
         print(file=sys.stderr)  # ends the prompt's open line
         raise
+    if not any("\ud800" <= c <= "\udfff" for c in line):
+        return line
+    print("line refused: it is not valid text; type it again", file=sys.stderr)
+    return ""
 
 
 def cmd_run(args: argparse.Namespace) -> int:

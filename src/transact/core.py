@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -720,13 +721,20 @@ def _read_document(tp: Any, text: str, error: type[ValueError], root: str) -> An
         raise error(e.located(root)) from e
 
 
+#: Each escape in JSON text, an escaped backslash whole so matches keep in
+#: step; a surrogate escape that is not a high one then a low one is captured.
+_SURROGATE_ESCAPE = re.compile(
+    r"\\(?:\\|u(?i:d[89ab][0-9a-f]{2})\\u(?i:d[c-f][0-9a-f]{2})|(u(?i:d[89a-f][0-9a-f]{2})))"
+)
+
+
 def _load_document(
     tp: Any, path: str | Path, error: type[Exception], what: str, root: str | None = None
 ) -> Any:
     """Read the UTF-8 file at ``path`` and parse it as a ``tp`` document whose
     faults are located from ``root`` (default ``what``). Every failure raises
     ``error``: "{what} file not found", "cannot read {what} file" or
-    "{root} does not parse"."""
+    "{root} does not parse", also for an unpaired surrogate escape."""
     root = root or what
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -734,6 +742,10 @@ def _load_document(
         raise error(f"{what} file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as e:
         raise error(f"cannot read {what} file {path}: {e}") from e
+    lone = next((m for m in _SURROGATE_ESCAPE.finditer(text) if m[1]), None)
+    if lone:
+        fault = json.JSONDecodeError(f"unpaired surrogate escape \\{lone[1]}", text, lone.start())
+        raise error(f"{root} does not parse: {fault}")
     try:
         return _read_document(tp, text, ValueError, root)
     except ValueError as e:

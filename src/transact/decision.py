@@ -119,17 +119,17 @@ def decide(
     life_script: str,
     weights: DecisionWeights,
     agent: str,
-    turn: int,
     provider,
     run_log: RunLog,
 ) -> DecisionRecord:
-    """One full decision round: prompt, score, select.
+    """One full decision round for turn ``len(history)``: prompt, score, select.
 
     A malformed scoring reply earns one retry with an error note; a second
     failure falls back to the Adult state (all-zero scores keep the record
     consistent with the selection rule) with a logged "decision fallback"
     rationale.
     """
+    turn = len(history)
     caller = CallerInfo(agent=agent, role="decision", turn=turn)
     messages = render_decision_prompt(candidates, history, opening_prompt, life_script, agent)
     scores: EgoScores | None = None

@@ -53,15 +53,18 @@ class FinalAnswer:
 @dataclass(frozen=True)
 class EgoTurnContext:
     """Everything one ego turn may see besides its memory partition, which
-    names the agent and ego state. The life script is deliberately absent: it
-    enters only at the decision step."""
+    names the agent and ego state. The turn is the history's length. The life
+    script is deliberately absent: it enters only at the decision step."""
 
-    turn: int
     opening_prompt: str
     history: tuple[tuple[str, str], ...]  # (speaker, chosen text), oldest first
     descriptor: str
     tool_budget: int
     k: int
+
+    @property
+    def turn(self) -> int:
+        return len(self.history)
 
 
 @dataclass(frozen=True)

@@ -85,9 +85,9 @@ every entry would rank them. The k-th best exact score is found first, and
 only the entries scoring at least that, ties included, get a key.
 
 Vectors and index entries never change after build. What is built on first
-use by ``cached_property`` (a vector's values; an index's values, postings
-and record ids) is a pure function of them, so two threads that race on a
-first use build equal copies and either serves.
+use by ``cached_property`` (a vector's values; an index's values and
+postings) is a pure function of them, so two threads that race on a first
+use build equal copies and either serves.
 
 An index holds the embedder that built it and embeds each query with it, so
 a query lands in the vector space of the entries. It also keeps a memo of
@@ -286,8 +286,6 @@ class MemoryIndex:
     entries: tuple[tuple[MemoryRecord, EmbeddingVector], ...]
     embedder: Embedder = field(repr=False, compare=False)
     dim: int = field(init=False)
-    # Every cosine divides by the entry's norm.
-    _norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
     # Each answered search's hits, by (query, k).
     _memo: dict[tuple[str, int], tuple[tuple[MemoryRecord, float], ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -299,14 +297,9 @@ class MemoryIndex:
         for rec, vec in self.entries:
             _check_entry(rec, vec, dim)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_norms", tuple(vec.norm for _, vec in self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @cached_property
-    def record_ids(self) -> tuple[str, ...]:
-        return tuple(rec.id for rec, _ in self.entries)
 
     @cached_property
     def _values(self) -> tuple[tuple[float, ...], ...]:
@@ -353,12 +346,12 @@ class MemoryIndex:
         if low > -q_norm:
             kept = list(compress(kept, map(operator.le, repeat(low), acc)))
         q_at = dict(zip(*q.support)).get
-        norms = self._norms
         scores = []
         for i in kept:
-            indices, values = self.entries[i][1].support
+            vec = self.entries[i][1]
+            indices, values = vec.support
             dot = math.fsum(map(operator.mul, values, map(q_at, indices, repeat(0.0))))
-            scores.append(min(1.0, max(-1.0, dot / (q_norm * norms[i]))))
+            scores.append(min(1.0, max(-1.0, dot / (q_norm * vec.norm))))
         return kept, scores
 
 
@@ -420,15 +413,15 @@ def search_top_k(idx: MemoryIndex, query: str, k: int) -> list[tuple[MemoryRecor
         raise MemoryIndexError(f"query embedded to {fault}")
     if len(q.support[0]) == q.dim:
         positions: Sequence[int] = range(len(idx.entries))
-        scores = _cosines(q, _row_dots(q, idx._values), idx._norms)
+        scores = _cosines(q, _row_dots(q, idx._values), (vec.norm for _, vec in idx.entries))
     else:
         positions, scores = idx._sparse_scores(q, k)
     # The position breaks ties of equal ids, so records are never compared, and
     # keeps the order a stable sort gives.
     kth = _kth_largest(scores, k)
-    ids = idx.record_ids
-    ranked = sorted([(-s, ids[i], i) for i, s in zip(positions, scores) if s >= kth])
+    entries = idx.entries
+    ranked = sorted([(-s, entries[i][0].id, i) for i, s in zip(positions, scores) if s >= kth])
     # Negation is exact: each key gives back its score's bits.
-    hits = tuple((idx.entries[i][0], -neg) for neg, _, i in ranked[:k])
+    hits = tuple((entries[i][0], -neg) for neg, _, i in ranked[:k])
     idx._memo[key] = hits
     return list(hits)

@@ -137,7 +137,6 @@ def step_turn(
         partial(
             run_ego_turn,
             EgoTurnContext(
-                turn=turn,
                 opening_prompt=cfg.opening_prompt,
                 history=history,
                 descriptor=agent.persona(ego).descriptor,
@@ -164,7 +163,6 @@ def step_turn(
         agent.life_script,
         cfg.decision_weights,
         agent.name,
-        turn,
         provider,
         run_log,
     )

@@ -21,7 +21,6 @@ import urllib.parse
 import urllib.request
 import weakref
 from collections import Counter, deque
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
@@ -161,7 +160,10 @@ class _ChatBackend:
         if messages[0].role is not Role.SYSTEM:
             raise ProviderError("the first message must have the System role")
         raw = self._reply(messages, stop_markers, caller)
-        size = len(raw.encode("utf-8"))
+        try:
+            size = len(raw.encode("utf-8"))
+        except UnicodeEncodeError as e:  # a lone surrogate, as a JSON escape can carry
+            raise ProviderError(f"response is not valid text: {e}") from e
         if size > RESPONSE_BYTE_CAP:
             raise ProviderError(
                 f"response of {size} bytes exceeds the {RESPONSE_BYTE_CAP}-byte cap"
@@ -390,7 +392,7 @@ class _Endpoint:
             if status == 200:
                 try:
                     return json.loads(data)
-                except ValueError as e:
+                except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply
                     raise ProviderError(f"{url} returned non-JSON body: {e}") from e
             last_error = ProviderError(
                 f"{url} returned {status}: {data.decode('utf-8', 'replace')[:200]}"
@@ -572,16 +574,15 @@ class RemoteEmbedder:
 
 @dataclass
 class CachingEmbedder:
-    """Memoizes an inner embedder by exact text; one upstream call per distinct text.
+    """Memoizes an inner embedder by exact text: one vector per text for the run.
 
-    A thread that misses a text another thread is already fetching waits for
-    that call and shares its vector, or its error. A failed call is not
-    cached: a later miss calls upstream again.
+    A miss calls the inner embedder outside the lock; threads that miss one
+    text together each call it and all get the first vector stored. A failed
+    call stores nothing, so a later miss calls upstream again.
     """
 
     inner: object
     _cache: dict[str, EmbeddingVector] = field(default_factory=dict, init=False)
-    _in_flight: dict[str, Future] = field(default_factory=dict, init=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False)
 
     @property
@@ -591,25 +592,11 @@ class CachingEmbedder:
     def embed(self, text: str) -> EmbeddingVector:
         with self._lock:
             hit = self._cache.get(text)
-            if hit is not None:
-                return hit
-            pending = self._in_flight.get(text)
-            if pending is None:
-                self._in_flight[text] = call = Future()
-        if pending is not None:
-            return pending.result()
-        try:
-            vec = self.inner.embed(text)  # type: ignore[attr-defined]
-        except BaseException as e:
-            with self._lock:
-                del self._in_flight[text]
-            call.set_exception(e)
-            raise
+        if hit is not None:
+            return hit
+        vec = self.inner.embed(text)  # type: ignore[attr-defined]
         with self._lock:
-            self._cache[text] = vec
-            del self._in_flight[text]
-        call.set_result(vec)
-        return vec
+            return self._cache.setdefault(text, vec)
 
 
 def http_backend(environ: Mapping[str, str]) -> tuple[HttpProvider, CachingEmbedder]:

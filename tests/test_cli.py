@@ -553,6 +553,14 @@ class TestValidate:
         path.write_text("{", encoding="utf-8")
         assert run_cli("validate", "--scenario", path) == EXIT_INPUT
 
+    def test_an_escaped_surrogate_pair_is_valid(self, tmp_path, capsys):
+        tree = json.loads(asset_path("stupid.json").read_text(encoding="utf-8"))
+        tree["opening_prompt"] += " \U0001F600"
+        path = tmp_path / "emoji.json"
+        path.write_text(json.dumps(tree), encoding="utf-8")
+        assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
+        assert run_cli("validate", "--scenario", path) == EXIT_OK
+        assert "scenario valid" in capsys.readouterr().out
 
     def test_weight_too_large_for_a_float_is_input_error(self, tmp_path, stupid_scenario, capsys):
         text = serialize_scenario(stupid_scenario)
@@ -722,6 +730,27 @@ class TestInteractive:
         assert out.read_bytes() == (tmp_path / "ok.json").read_bytes()
         assert (tmp_path / "piped.json.log").stat().st_size > 0
 
+    def test_a_line_utf8_cannot_encode_is_refused_and_the_prompt_shown_again(self, tmp_path):
+        # In the C locale, stdin decodes the byte 0xff as the lone surrogate \udcff.
+        env = subprocess_env(LC_ALL="C")
+        env.pop("PYTHONIOENCODING", None)
+        out = tmp_path / "mine.json"
+        proc = subprocess.run(
+            bundled_interactive_command(out), input=b"abc \xff def\n",
+            capture_output=True, timeout=120, cwd=tmp_path, env=env,
+        )
+        stderr = proc.stderr.decode("utf-8", "replace")
+        assert proc.returncode == EXIT_OK, stderr
+        assert stderr.count("Jordan> ") == 2
+        assert "line refused" in stderr
+        data = out.read_bytes()
+        assert (tmp_path / "mine.json.log").stat().st_size > 0
+        assert proc.stdout.decode("utf-8").splitlines()[-1] == (
+            f"transcript hash: {hashlib.sha256(data).hexdigest()}"
+        )
+        t = parse_transcript(data.decode("utf-8"))
+        assert [u.speaker for u in t.utterances] == ["Alex"]
+
     def test_fixture_underrun_is_runtime_error_with_partial_transcript(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -760,3 +789,46 @@ def test_input_nested_too_deeply_is_input_error(tmp_path, capsys, command, locat
     deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     assert run_cli(*(arg.format(deep=deep) for arg in command)) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {located}: not valid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "command, located",
+    [
+        (("validate", "--scenario", "{scenario}"), "scenario does not parse"),
+        (
+            ("run", "--scenario", "{scenario}", "--fixtures", str(asset_path("stupid_fixtures.json")),
+             "--out", "{out}"),
+            "scenario does not parse",
+        ),
+        (
+            ("run", "--scenario", str(asset_path("stupid.json")), "--fixtures", "{fixtures}",
+             "--out", "{out}"),
+            "fixture file does not parse",
+        ),
+        (("analyze", "--transcript", "{transcript}"), "transcript does not parse"),
+    ],
+    ids=["validate", "run-scenario", "run-fixtures", "analyze"],
+)
+def test_an_unpaired_surrogate_escape_is_input_error(
+    tmp_path, capsys, golden_transcript, command, located
+):
+    # Each file is valid but for one string ending in a lone surrogate, which
+    # json.dumps writes as the escape \ud800 and UTF-8 cannot encode.
+    scenario = json.loads(asset_path("stupid.json").read_text(encoding="utf-8"))
+    scenario["opening_prompt"] += "\ud800"
+    fixtures = json.loads(asset_path("stupid_fixtures.json").read_text(encoding="utf-8"))
+    fixtures[0]["response"] += "\ud800"
+    transcript = json.loads(serialize_transcript(golden_transcript))
+    transcript["scenario_fingerprint"] += "\ud800"
+    paths = {"out": tmp_path / "out.json"}
+    for name, tree in (("scenario", scenario), ("fixtures", fixtures), ("transcript", transcript)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(tree), encoding="utf-8")
+    assert run_cli(*(arg.format(**paths) for arg in command)) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        f"error: {located}: unpaired surrogate escape \\ud800: line 1 column "
+    )
+    # Nothing is written: neither --out nor its run log.
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fixtures.json", "scenario.json", "transcript.json",
+    ]

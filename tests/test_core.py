@@ -438,6 +438,8 @@ def _document(root: str):
     """A valid document tree with its parser and that parser's error type."""
     if root == "scenario":
         tree = json.loads(serialize_scenario(make_scenario(n_memories=1)))
+        # A second emotion, so a wrong-typed one is located at [1], past an item that passed.
+        tree["agents"][0]["personas"][0]["memories"][0]["emotions"].append("wary")
         return tree, parse_scenario, ScenarioFormatError
     rng = random.Random(5)
     t = random_transcript(rng, max_utterances=2)

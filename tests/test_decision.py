@@ -227,7 +227,7 @@ class TestDecide:
     def test_well_formed_reply_selects_scored_winner(self):
         provider = ScriptedProvider([("Jordan/decision", scores_reply(EgoState.CHILD))])
         record = decide(
-            three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", 0, provider,
+            three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", provider,
             RunLog(),
         )
         assert record.chosen is EgoState.CHILD
@@ -242,7 +242,7 @@ class TestDecide:
             ]
         )
         record = decide(
-            three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", 0, provider,
+            three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", provider,
             RunLog(),
         )
         assert record.chosen is EgoState.PARENT
@@ -258,7 +258,7 @@ class TestDecide:
         )
         with caplog.at_level("WARNING"):
             record = decide(
-                three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", 0, provider,
+                three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", provider,
                 RunLog(),
             )
         assert record.chosen is EgoState.ADULT

@@ -159,7 +159,6 @@ class TestFormatObservation:
 
 def make_ctx(budget: int = 5, k: int = 3, history=()) -> EgoTurnContext:
     return EgoTurnContext(
-        turn=0,
         opening_prompt="Alex points at a crucial mistake in the financial report.",
         history=tuple(history),
         descriptor="a panicked Child voice",
@@ -193,7 +192,7 @@ class TestRunEgoTurn:
         assert r.text == "I cannot deal with this."
         assert r.emotion == "panic" and r.tone == "helpless"
         assert len(r.memories_used) == 3  # k hits from one search
-        assert set(r.memories_used) <= set(idx.record_ids)
+        assert set(r.memories_used) <= {rec.id for rec, _ in idx.entries}
         assert outcome.retrieval[0].query == "mistake in the report"
         assert log.count("provider_call") == 2
 
