@@ -29,9 +29,6 @@ class EgoState(Enum):
     ADULT = "Adult"
     CHILD = "Child"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 #: Canonical presentation order for anything listed per ego state.
 EGO_ORDER: tuple[EgoState, EgoState, EgoState] = (
@@ -483,10 +480,6 @@ def _leaf_encoder(level: int) -> Callable[[Any, int], Any]:
 _encode_leaf = _leaf_encoder(0)
 
 
-def _write_leaf(value: Any, level: int, out: list[str]) -> None:
-    out.extend(_encode_leaf(value, 0))
-
-
 class _Heads(dict):
     """What a non-empty object or array writes around its members, by indent
     level (built on first use): the opening bracket with the first member's
@@ -546,22 +539,23 @@ def _check_object(node: Any, keys: set[str], required: set[str]) -> None:
 
 
 @functools.cache
-def _codec(tp: Any) -> tuple[_Reader, _Writer]:
+def _codec(tp: Any) -> tuple[_Reader, _Writer | None]:
     """The (reader, writer) pair for one annotated type.
 
     A reader checks a parsed JSON tree strictly and builds the value; a writer
     appends the value's canonical text at an indent level to a list of chunks,
     which the document joins once. Scalars are checked by exact type (a float
-    field also takes an int), ``tuple[X, ...]`` is an array, and a dataclass
-    is an object with exactly its field keys. Enums, stored by value, and
-    ``X | None``, which allows null, are record fields only: the record's own
-    code reads and writes them.
+    field also takes an int) and have no writer: a record writes its scalar
+    fields inline, and one C encoder call writes an array of scalars.
+    ``tuple[X, ...]`` is an array, and a dataclass is an object with exactly
+    its field keys. Enums, stored by value, and ``X | None``, which allows
+    null, are record fields only: the record's own code reads and writes them.
     """
     origin, args = get_origin(tp), get_args(tp)
     if tp in _SCALAR_NOUNS:
-        return _exact_reader(tp, _SCALAR_NOUNS[tp]), _write_leaf
+        return _exact_reader(tp, _SCALAR_NOUNS[tp]), None
     if tp is float:
-        return _read_float, _write_leaf
+        return _read_float, None
     if isinstance(tp, type) and is_dataclass(tp):
         return _record_codec(tp)
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
@@ -571,7 +565,6 @@ def _codec(tp: Any) -> tuple[_Reader, _Writer]:
 
 def _tuple_codec(item: Any) -> tuple[_Reader, _Writer]:
     read_item, write_item = _codec(item)
-    leaves = write_item is _write_leaf
     heads = _Heads("[]", ["", ""])
 
     def read(node: Any) -> tuple[Any, ...]:
@@ -590,7 +583,7 @@ def _tuple_codec(item: Any) -> tuple[_Reader, _Writer]:
             out.append("[]")
             return
         opening, sep, closing = heads[level]
-        if leaves:  # one C call renders "[a,<pad>b]"; the brackets' lines are added
+        if write_item is None:  # one C call renders "[a,<pad>b]"; the brackets' lines are added
             out += (opening, "".join(_leaf_encoder(level + 1)(value, 0))[1:-1], closing)
             return
         for x in value:
@@ -708,7 +701,21 @@ def _record_codec(cls: type) -> tuple[_Reader, _Writer]:
     return ns["read"], ns["write"]
 
 
+#: Each escape in JSON text, an escaped backslash whole so matches keep in
+#: step; a surrogate escape that is not a high one then a low one is captured.
+_SURROGATE_ESCAPE = re.compile(
+    r"\\(?:\\|u(?i:d[89ab][0-9a-f]{2})\\u(?i:d[c-f][0-9a-f]{2})|(u(?i:d[89a-f][0-9a-f]{2})))"
+)
+
+
 def _read_document(tp: Any, text: str, error: type[ValueError], root: str) -> Any:
+    """Parse ``text`` as a ``tp`` document whose faults are located from
+    ``root``; every failure raises ``error``. An unpaired surrogate escape is
+    refused: no UTF-8 file or hash can hold the string it makes."""
+    lone = next((m for m in _SURROGATE_ESCAPE.finditer(text) if m[1]), None)
+    if lone:
+        fault = json.JSONDecodeError(f"unpaired surrogate escape \\{lone[1]}", text, lone.start())
+        raise error(str(fault))
     try:
         tree = json.loads(text)
     except json.JSONDecodeError as e:
@@ -721,20 +728,13 @@ def _read_document(tp: Any, text: str, error: type[ValueError], root: str) -> An
         raise error(e.located(root)) from e
 
 
-#: Each escape in JSON text, an escaped backslash whole so matches keep in
-#: step; a surrogate escape that is not a high one then a low one is captured.
-_SURROGATE_ESCAPE = re.compile(
-    r"\\(?:\\|u(?i:d[89ab][0-9a-f]{2})\\u(?i:d[c-f][0-9a-f]{2})|(u(?i:d[89a-f][0-9a-f]{2})))"
-)
-
-
 def _load_document(
     tp: Any, path: str | Path, error: type[Exception], what: str, root: str | None = None
 ) -> Any:
     """Read the UTF-8 file at ``path`` and parse it as a ``tp`` document whose
     faults are located from ``root`` (default ``what``). Every failure raises
     ``error``: "{what} file not found", "cannot read {what} file" or
-    "{root} does not parse", also for an unpaired surrogate escape."""
+    "{root} does not parse"."""
     root = root or what
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -742,10 +742,6 @@ def _load_document(
         raise error(f"{what} file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as e:
         raise error(f"cannot read {what} file {path}: {e}") from e
-    lone = next((m for m in _SURROGATE_ESCAPE.finditer(text) if m[1]), None)
-    if lone:
-        fault = json.JSONDecodeError(f"unpaired surrogate escape \\{lone[1]}", text, lone.start())
-        raise error(f"{root} does not parse: {fault}")
     try:
         return _read_document(tp, text, ValueError, root)
     except ValueError as e:

@@ -85,9 +85,9 @@ every entry would rank them. The k-th best exact score is found first, and
 only the entries scoring at least that, ties included, get a key.
 
 Vectors and index entries never change after build. What is built on first
-use by ``cached_property`` (a vector's values; an index's values and
-postings) is a pure function of them, so two threads that race on a first
-use build equal copies and either serves.
+use by ``cached_property`` (a vector's values, an index's postings) is a
+pure function of them, so two threads that race on a first use build equal
+copies and either serves.
 
 An index holds the embedder that built it and embeds each query with it, so
 a query lands in the vector space of the entries. It also keeps a memo of
@@ -225,8 +225,11 @@ class Embedder(Protocol):
     def embed(self, text: str) -> EmbeddingVector: ...
 
 
-def _norm_fault(vec: EmbeddingVector) -> str | None:
-    """Why ``vec``'s norm is outside the domain of scoring, or None if it is inside."""
+def _vector_fault(vec: EmbeddingVector, dim: int) -> str | None:
+    """Why ``vec`` cannot be scored against vectors of ``dim`` entries, or None
+    if it can: its dimension, else its norm outside the domain of scoring."""
+    if vec.dim != dim:
+        return f"dim {vec.dim}, index dim is {dim}"
     if vec.norm == 0.0:
         return "a zero-norm vector"
     if vec.norm == math.inf:
@@ -262,18 +265,16 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """dot(a, b) / (|a| * |b|), clamped to [-1, 1] against float rounding."""
     if a.dim != b.dim:
         raise MemoryIndexError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    fault = _norm_fault(a) or _norm_fault(b)
+    fault = _vector_fault(a, a.dim) or _vector_fault(b, a.dim)
     if fault:
         raise MemoryIndexError(f"cosine similarity is undefined for {fault}")
     return _cosines(a, _row_dots(a, (b.values,)), (b.norm,))[0]
 
 
 def _check_entry(rec: MemoryRecord, vec: EmbeddingVector, dim: int) -> None:
-    fault = _norm_fault(vec)
+    fault = _vector_fault(vec, dim)
     if fault:
         raise MemoryIndexError(f"record {rec.id!r} embedded to {fault}")
-    if vec.dim != dim:
-        raise MemoryIndexError(f"record {rec.id!r} embedded to dim {vec.dim}, index dim is {dim}")
 
 
 @dataclass(frozen=True)
@@ -300,11 +301,6 @@ class MemoryIndex:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @cached_property
-    def _values(self) -> tuple[tuple[float, ...], ...]:
-        """Each entry's values, for a dense query's row walk."""
-        return tuple(vec.values for _, vec in self.entries)
 
     @cached_property
     def _postings(self) -> dict[int, tuple[list[int], array[float]]]:
@@ -346,13 +342,12 @@ class MemoryIndex:
         if low > -q_norm:
             kept = list(compress(kept, map(operator.le, repeat(low), acc)))
         q_at = dict(zip(*q.support)).get
-        scores = []
-        for i in kept:
-            vec = self.entries[i][1]
-            indices, values = vec.support
-            dot = math.fsum(map(operator.mul, values, map(q_at, indices, repeat(0.0))))
-            scores.append(min(1.0, max(-1.0, dot / (q_norm * vec.norm))))
-        return kept, scores
+        vecs = [self.entries[i][1] for i in kept]
+        dots = [
+            math.fsum(map(operator.mul, values, map(q_at, indices, repeat(0.0))))
+            for indices, values in (vec.support for vec in vecs)
+        ]
+        return kept, _cosines(q, dots, (vec.norm for vec in vecs))
 
 
 def build_index(
@@ -406,14 +401,13 @@ def search_top_k(idx: MemoryIndex, query: str, k: int) -> list[tuple[MemoryRecor
     if hits is not None:
         return list(hits)
     q = idx.embedder.embed(query)
-    if q.dim != idx.dim:
-        raise MemoryIndexError(f"query embedded to dim {q.dim}, index dim is {idx.dim}")
-    fault = _norm_fault(q)
+    fault = _vector_fault(q, idx.dim)
     if fault:
         raise MemoryIndexError(f"query embedded to {fault}")
     if len(q.support[0]) == q.dim:
         positions: Sequence[int] = range(len(idx.entries))
-        scores = _cosines(q, _row_dots(q, idx._values), (vec.norm for _, vec in idx.entries))
+        rows = (vec.values for _, vec in idx.entries)
+        scores = _cosines(q, _row_dots(q, rows), (vec.norm for _, vec in idx.entries))
     else:
         positions, scores = idx._sparse_scores(q, k)
     # The position breaks ties of equal ids, so records are never compared, and

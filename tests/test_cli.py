@@ -192,6 +192,21 @@ class TestRun:
         assert code == EXIT_INPUT
         assert "opening_prompt" in capsys.readouterr().out
 
+    def test_an_override_that_makes_the_scenario_invalid_is_input_error(
+        self, tmp_path, scenario_file, fixture_file, capsys
+    ):
+        scenario, _ = scenario_file
+        out = tmp_path / "t.json"
+        code = run_cli(
+            "run", "--scenario", scenario, "--fixtures", fixture_file, "--k", "0", "--out", out
+        )
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "invalid scenario:" in err
+        assert "  k: retrieval fan-out k must be >= 1" in err.splitlines()
+        assert not out.exists()
+        assert not (tmp_path / "t.json.log").exists()
+
     def test_same_seed_prints_same_hash(self, tmp_path, scenario_file, fixture_file, capsys):
         scenario, _ = scenario_file
 

@@ -83,6 +83,34 @@ class TestValidateScenario:
         paths = {v.path for v in validate_scenario(cfg)}
         assert {"k", "tool_budget", "max_turns", "seed"} <= paths
 
+    @pytest.mark.parametrize(
+        "edit, violation",
+        [
+            (
+                lambda cfg: dataclasses.replace(
+                    cfg, agents=(dataclasses.replace(cfg.agents[0], name=" "), cfg.agents[1])
+                ),
+                "agents[0].name: agent name must be non-empty",
+            ),
+            (
+                lambda cfg: dataclasses.replace(
+                    cfg,
+                    agents=(dataclasses.replace(cfg.agents[0], life_script=" "), cfg.agents[1]),
+                ),
+                "agents[Jordan].life_script: life script must be non-empty",
+            ),
+            (
+                lambda cfg: dataclasses.replace(
+                    cfg, decision_weights=DecisionWeights(-0.25, 0.75, 0.25, 0.25)
+                ),
+                "decision_weights: weights must be non-negative",
+            ),
+        ],
+        ids=["blank-agent-name", "blank-life-script", "negative-weight-summing-to-one"],
+    )
+    def test_one_violation_with_its_path(self, edit, violation):
+        assert [str(v) for v in validate_scenario(edit(make_scenario()))] == [violation]
+
     def test_memory_violations_carry_full_paths(self):
         rec_blank = MemoryRecord(
             id="m1", context="  ", reaction="r", emotions=(), tone="t", ego_state=EgoState.CHILD
@@ -243,6 +271,74 @@ class TestSerialization:
         with pytest.raises(TranscriptFormatError) as info:
             parse_transcript(json.dumps(tree))
         assert str(info.value) == f"utterances[0].{message}"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda t: t["utterances"][0]["candidates"][0].update(text="  "),
+                "utterances[0].candidates[0]: candidate text must be non-empty",
+            ),
+            (
+                lambda t: t["utterances"][0]["candidates"][2].update(searches_performed=-1),
+                "utterances[0].candidates[2]: searches_performed must be non-negative",
+            ),
+            (
+                lambda t: t["utterances"][2].update(speaker="Sam"),
+                "transcript: a transcript has at most two speakers",
+            ),
+        ],
+        ids=["blank-candidate", "negative-searches", "three-speakers"],
+    )
+    def test_transcript_rules_are_located_format_errors(self, golden_transcript, edit, message):
+        tree = json.loads(serialize_transcript(golden_transcript))
+        edit(tree)
+        with pytest.raises(TranscriptFormatError) as info:
+            parse_transcript(json.dumps(tree))
+        assert str(info.value) == message
+
+    def test_an_integer_score_reads_as_a_float(self, golden_transcript):
+        tree = json.loads(serialize_transcript(golden_transcript))
+        where = next(
+            (i, j)
+            for i, u in enumerate(tree["utterances"])
+            for j, event in enumerate(u["retrieval_log"])
+            if len(event["hits"]) >= 2
+        )
+        event = tree["utterances"][where[0]]["retrieval_log"][where[1]]
+        event["hits"], event["scores"] = event["hits"][:2], [1, 0.5]
+        parsed = parse_transcript(json.dumps(tree))
+        scores = parsed.utterances[where[0]].retrieval_log[where[1]].scores
+        assert scores == (1.0, 0.5)
+        assert [type(s) for s in scores] == [float, float]
+
+    @pytest.mark.parametrize("root", ["scenario", "transcript"])
+    def test_an_unpaired_surrogate_escape_is_a_format_error(
+        self, stupid_scenario, golden_transcript, root
+    ):
+        # json.dumps writes a lone surrogate as the escape, which no UTF-8 text holds.
+        if root == "scenario":
+            tree = json.loads(serialize_scenario(stupid_scenario))
+            tree["opening_prompt"] += "\ud800"
+            parse, error = parse_scenario, ScenarioFormatError
+        else:
+            tree = json.loads(serialize_transcript(golden_transcript))
+            tree["scenario_fingerprint"] += "\udc00"
+            parse, error = parse_transcript, TranscriptFormatError
+        text = json.dumps(tree)
+        at = text.index("\\ud")
+        with pytest.raises(error) as info:
+            parse(text)
+        assert str(info.value) == (
+            f"unpaired surrogate escape {text[at : at + 6]}: line 1 column {at + 1} (char {at})"
+        )
+
+    def test_an_escaped_surrogate_pair_parses(self, stupid_scenario):
+        tree = json.loads(serialize_scenario(stupid_scenario))
+        tree["opening_prompt"] += "\U0001f600"
+        text = json.dumps(tree)
+        assert "\\ud83d\\ude00" in text
+        assert parse_scenario(text).opening_prompt.endswith("\U0001f600")
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_decision_weight_is_a_format_error(self, golden_transcript, weight):

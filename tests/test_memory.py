@@ -239,6 +239,17 @@ class TestBuildIndex:
                 embedder=FixedEmbedder({}, dim=2),
             )
 
+    def test_an_entry_with_both_faults_reports_its_dimension(self):
+        ok = make_record("ok", EgoState.CHILD)
+        bad = make_record("bad", EgoState.CHILD)
+        with pytest.raises(MemoryIndexError, match="'bad' embedded to dim 3, index dim is 2"):
+            MemoryIndex(
+                agent="X",
+                ego_state=EgoState.CHILD,
+                entries=((ok, vec(0, 1)), (bad, vec(0, 0, 0))),
+                embedder=FixedEmbedder({}, dim=2),
+            )
+
     def test_index_rejects_a_zero_norm_entry(self):
         ok = make_record("ok", EgoState.CHILD)
         zero = make_record("zero", EgoState.CHILD)
@@ -690,7 +701,6 @@ class TestLazyForms:
         for k in (1, 3, 25):
             search_top_k(idx, "budget report error", k)
         assert "_postings" in vars(idx)
-        assert "_values" not in vars(idx)
         assert len(seen) == 28
         assert not any("values" in vars(v) for v in seen)
 
@@ -702,7 +712,6 @@ class TestLazyForms:
         idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
         for query in list(table)[:3]:
             assert_bit_identical_to_oracle(idx, query, 3, embedder)
-        assert "_values" in vars(idx)
         assert "_postings" not in vars(idx)
 
     def test_mostly_zero_values_keep_only_their_support(self):

@@ -470,6 +470,21 @@ class TestConnection:
         assert len({req["port"] for req in server.requests}) == len(server.requests) == 2
         assert sleeps == []
 
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_a_fresh_connection_that_fails_before_any_reply(
+        self, sleeps, provider_limits, retries
+    ):
+        # An empty script: the server hangs up on every request without replying.
+        with serving(HangUpHandler) as server:
+            provider_limits(MAX_RETRIES=retries, RETRY_DELAY_S=0.25)
+            provider = HttpProvider(config_for(server), api_key="test-key")
+            with pytest.raises(ProviderError, match="request to .* failed"):
+                provider.complete(MESSAGES)
+        # Each attempt's request went once, on a new connection, and was not resent.
+        assert len({req["port"] for req in server.requests}) == len(server.requests)
+        assert len(server.requests) == retries + 1
+        assert sleeps == [0.25] * retries
+
     def test_body_over_the_cap_fails_and_the_next_call_reconnects(self, provider_limits):
         with serving(OversizeFirstReplyHandler) as server:
             server.script["/chat/completions"] = [(200, completion_payload("small"))]
@@ -593,6 +608,32 @@ def test_a_reply_nested_too_deeply_is_a_provider_error_not_retried(stub_server, 
     with pytest.raises(ProviderError, match="non-JSON body"):
         call(config_for(stub_server))
     assert len(stub_server.requests) == 1
+
+
+@pytest.mark.parametrize(
+    "path, payload, error",
+    [
+        ("/chat/completions", {}, "unexpected completion payload shape"),
+        ("/chat/completions", {"choices": []}, "unexpected completion payload shape"),
+        ("/chat/completions", {"choices": [{"message": {"content": None}}]}, "not a string"),
+        ("/chat/completions", {"choices": [{"message": {"content": 7}}]}, "not a string"),
+        ("/embeddings", {}, "unexpected embedding payload shape"),
+        ("/embeddings", {"data": []}, "unexpected embedding payload shape"),
+    ],
+    ids=["no-choices", "empty-choices", "null-content", "number-content", "no-data", "empty-data"],
+)
+def test_a_reply_of_the_wrong_shape_is_a_provider_error_not_retried(
+    stub_server, sleeps, path, payload, error
+):
+    stub_server.script[path] = [(200, payload)]
+    config = config_for(stub_server)
+    with pytest.raises(ProviderError, match=error):
+        if path == "/embeddings":
+            RemoteEmbedder(config, "test-key").embed("hello")
+        else:
+            HttpProvider(config, "test-key").complete(MESSAGES)
+    assert len(stub_server.requests) == 1
+    assert sleeps == []
 
 
 class TestHttpsConnection:
