@@ -20,6 +20,7 @@ from .core import (
     ScenarioConfig,
     Transcript,
     Utterance,
+    _SURROGATE,
     _load_document,
     canonical_json,
     fingerprint_scenario,
@@ -112,7 +113,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fixtures", help="fixture file for the scripted provider")
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--k", type=int, help="override the retrieval fan-out")
-    p.add_argument("--budget", type=int, help="override the search budget")
+    p.add_argument("--budget", type=int, dest="tool_budget", metavar="BUDGET",
+                   help="override the search budget")
     p.add_argument("--max-turns", type=int, help="override the turn limit")
 
 
@@ -122,15 +124,11 @@ def _read_scenario(path: str) -> ScenarioConfig:
 
 def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
     cfg = _read_scenario(args.scenario)
-    overrides = {}
-    for flag, field_name in (
-        ("seed", "seed"), ("k", "k"), ("budget", "tool_budget"), ("max_turns", "max_turns"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    overrides = {
+        name: getattr(args, name) for name in ("seed", "k", "tool_budget", "max_turns")
+        if getattr(args, name) is not None
+    }
+    cfg = dataclasses.replace(cfg, **overrides)
     violations = validate_scenario(cfg)
     if violations:
         raise CliInputError(
@@ -190,7 +188,7 @@ def _read_line(prompt: str) -> str:
     except EOFError:
         print(file=sys.stderr)  # ends the prompt's open line
         raise
-    if not any("\ud800" <= c <= "\udfff" for c in line):
+    if not _SURROGATE.search(line):
         return line
     print("line refused: it is not valid text; type it again", file=sys.stderr)
     return ""

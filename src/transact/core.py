@@ -322,34 +322,69 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
+#: A surrogate code point: a str can hold one alone, but UTF-8 cannot encode it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def validate_scenario(cfg: ScenarioConfig) -> list[Violation]:
     """Check every scenario invariant; an empty list means the config is runnable.
 
-    Violations are data, not exceptions: all of them are collected in one pass
-    so a config file can be fixed wholesale.
+    Violations are data, not exceptions: all of them are collected in one pass,
+    each through ``bad``, so a config file can be fixed wholesale. Text that
+    UTF-8 cannot encode, which only a config built in code can hold (parsing
+    refuses it), is located at its field, or a memory's at its record.
     """
     out: list[Violation] = []
 
     def bad(path: str, message: str) -> None:
         out.append(Violation(path, message))
 
+    def encodable(path: str, text: str) -> None:
+        if not text.isascii() and _SURROGATE.search(text):
+            bad(path, "text holds a surrogate code point, which UTF-8 cannot encode")
+
     if len(cfg.agents) != 2:
         bad("agents", f"exactly 2 agents required, got {len(cfg.agents)}")
 
     names = [a.name for a in cfg.agents]
     for i, agent in enumerate(cfg.agents):
-        # Locators use the agent's name unless it is blank or ambiguous.
-        key = agent.name if agent.name.strip() and names.count(agent.name) == 1 else str(i)
+        # Locators use the agent's name unless it is blank, ambiguous or unencodable.
+        named = names.count(agent.name) == 1 and not _SURROGATE.search(agent.name)
+        at = f"agents[{agent.name if named and agent.name.strip() else i}]"
         if not agent.name.strip():
-            bad(f"agents[{key}].name", "agent name must be non-empty")
+            bad(f"{at}.name", "agent name must be non-empty")
         elif names.index(agent.name) != i:
-            bad(f"agents[{key}].name", f"duplicate agent name {agent.name!r}")
+            bad(f"{at}.name", f"duplicate agent name {agent.name!r}")
+        encodable(f"{at}.name", agent.name)
         if not agent.life_script.strip():
-            bad(f"agents[{key}].life_script", "life script must be non-empty")
-        out.extend(_validate_personas(agent, key))
+            bad(f"{at}.life_script", "life script must be non-empty")
+        encodable(f"{at}.life_script", agent.life_script)
+        have = [p.ego_state for p in agent.personas]
+        if not _covers_each_ego_once(have):
+            bad(f"{at}.personas",
+                f"exactly one persona required per ego state (found {[e.value for e in have]})")
+        for persona in agent.personas:
+            base = f"{at}.personas[{persona.ego_state.value}]"
+            encodable(f"{base}.descriptor", persona.descriptor)
+            ids: set[str] = set()
+            for j, rec in enumerate(persona.memories):
+                loc = f"{base}.memories[{j}]"
+                if not rec.context.strip():
+                    bad(f"{loc}.context", "memory context must be non-empty")
+                if not rec.emotions:
+                    bad(f"{loc}.emotions", "at least one emotion label required")
+                if rec.ego_state is not persona.ego_state:
+                    bad(f"{loc}.ego_state", f"record belongs to {rec.ego_state.value}, "
+                        f"persona is {persona.ego_state.value}")
+                if rec.id in ids:
+                    bad(f"{loc}.id", f"duplicate memory id {rec.id!r} in partition")
+                ids.add(rec.id)
+                texts = (rec.id, rec.context, rec.reaction, rec.tone, *rec.emotions)
+                encodable(loc, "".join(texts))
 
     if not cfg.opening_prompt.strip():
         bad("opening_prompt", "opening prompt must be non-empty")
+    encodable("opening_prompt", cfg.opening_prompt)
     if cfg.first_speaker not in names:
         bad("first_speaker", f"{cfg.first_speaker!r} does not name a scenario agent")
     if cfg.k < 1:
@@ -367,40 +402,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[Violation]:
     elif fault is not None:
         bad("decision_weights", fault)
 
-    return out
-
-
-def _validate_personas(agent: AgentProfile, agent_key: str) -> list[Violation]:
-    out: list[Violation] = []
-    have = [p.ego_state for p in agent.personas]
-    if not _covers_each_ego_once(have):
-        out.append(
-            Violation(
-                f"agents[{agent_key}].personas",
-                "exactly one persona required per ego state "
-                f"(found {[e.value for e in have]})",
-            )
-        )
-    for persona in agent.personas:
-        base = f"agents[{agent_key}].personas[{persona.ego_state.value}]"
-        ids: set[str] = set()
-        for j, rec in enumerate(persona.memories):
-            loc = f"{base}.memories[{j}]"
-            if not rec.context.strip():
-                out.append(Violation(f"{loc}.context", "memory context must be non-empty"))
-            if not rec.emotions:
-                out.append(Violation(f"{loc}.emotions", "at least one emotion label required"))
-            if rec.ego_state is not persona.ego_state:
-                out.append(
-                    Violation(
-                        f"{loc}.ego_state",
-                        f"record belongs to {rec.ego_state.value}, "
-                        f"persona is {persona.ego_state.value}",
-                    )
-                )
-            if rec.id in ids:
-                out.append(Violation(f"{loc}.id", f"duplicate memory id {rec.id!r} in partition"))
-            ids.add(rec.id)
     return out
 
 

@@ -28,10 +28,11 @@ from .core import (
     Violation,
     _ZERO_SCORES,
     fingerprint_scenario,
+    select_ego,
     validate_scenario,
 )
 from .decision import decide
-from .ego_agent import EgoTurnContext, run_ego_turn
+from .ego_agent import UNSPECIFIED, EgoTurnContext, run_ego_turn
 from .memory import Embedder, MemoryIndex, build_index
 from .provider import ProviderStopSignal
 from .runlog import RunLog
@@ -46,7 +47,8 @@ HUMAN_RATIONALE = "human input"
 
 
 class InvalidScenarioError(ValueError):
-    """run_simulation was handed a config that validate_scenario rejects."""
+    """run_simulation was handed a config that validate_scenario rejects, text
+    that UTF-8 cannot encode included; raised before any index build or call."""
 
     def __init__(self, violations: list[Violation]) -> None:
         super().__init__("; ".join(str(v) for v in violations))
@@ -80,14 +82,13 @@ def _gather(executor: Executor | None, jobs: Sequence[Callable[[], T]]) -> list[
 def build_indices(
     cfg: ScenarioConfig, embedder: Embedder, executor: Executor | None = None
 ) -> dict[PartitionKey, MemoryIndex]:
-    """Build all six partition indices, concurrently on ``executor`` if given."""
-    partitions = [(agent.name, persona) for agent in cfg.agents for persona in agent.personas]
+    """Build all six partition indices, concurrently on ``executor`` if given,
+    each keyed by its own ``(agent, ego_state)``."""
     jobs = [
-        partial(build_index, persona.memories, embedder, agent=name, ego_state=persona.ego_state)
-        for name, persona in partitions
+        partial(build_index, p.memories, embedder, agent=agent.name, ego_state=p.ego_state)
+        for agent in cfg.agents for p in agent.personas
     ]
-    built = _gather(executor, jobs)
-    return {(name, persona.ego_state): index for (name, persona), index in zip(partitions, built)}
+    return {(index.agent, index.ego_state): index for index in _gather(executor, jobs)}
 
 
 def _speaker_at(cfg: ScenarioConfig, turn: int) -> str:
@@ -182,8 +183,8 @@ def _human_turn(
     """Read one line as the human-played agent's utterance for the next turn.
 
     The schema stays uniform: the typed line becomes all three candidates,
-    the decision is a synthetic all-zero record flagged human=true, and the
-    chosen ego is Adult (consistent with the selection tie-break).
+    with unspecified emotion and tone, and the decision is an all-zero record
+    flagged human=true whose choice ``select_ego`` makes, as for any decision.
     """
     turn = len(utterances)
     speaker = _speaker_at(cfg, turn)
@@ -193,13 +194,13 @@ def _human_turn(
         if text:
             break
     candidates = tuple(
-        EgoResponse(ego_state=ego, text=text, emotion="unspecified", tone="unspecified")
+        EgoResponse(ego_state=ego, text=text, emotion=UNSPECIFIED, tone=UNSPECIFIED)
         for ego in EGO_ORDER
     )
     decision = DecisionRecord(
         scores=_ZERO_SCORES,
         weights=cfg.decision_weights,
-        chosen=EgoState.ADULT,
+        chosen=select_ego(_ZERO_SCORES, cfg.decision_weights),
         rationale=HUMAN_RATIONALE,
         human=True,
     )

@@ -612,7 +612,6 @@ def http_backend(environ: Mapping[str, str]) -> tuple[HttpProvider, CachingEmbed
     except ValueError:
         raise _bad_timeout(raw) from None
     config = ProviderConfig(
-        kind="http",
         base_url=environ.get(BASE_URL_ENV, DEFAULT_BASE_URL),
         model=environ.get(MODEL_ENV, DEFAULT_MODEL),
         embedder=environ.get(EMBEDDER_ENV, DEFAULT_EMBEDDER_MODEL),

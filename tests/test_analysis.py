@@ -229,6 +229,29 @@ class TestRescuePattern:
         rescue = GameLoopReport(period=2, pattern=(J_CHILD, A_PARENT), repetitions=3, span=(0, 5))
         assert is_rescue_pattern(rescue)
 
+    @pytest.mark.parametrize("pattern", [(J_CHILD,), (J_CHILD, A_PARENT) * 2])
+    def test_a_loop_whose_period_is_not_two_is_not_a_rescue(self, pattern):
+        from transact.analysis import is_rescue_pattern
+
+        period = len(pattern)
+        loop = GameLoopReport(period, pattern, repetitions=2, span=(0, 2 * period - 1))
+        assert not is_rescue_pattern(loop)
+
+
+class TestGameLoopReport:
+    @pytest.mark.parametrize(
+        "period, pattern, repetitions, span, message",
+        [
+            (2, (J_CHILD,), 2, (0, 3), "pattern length must equal the period"),
+            (2, (J_CHILD, A_PARENT), 1, (0, 1), "a loop repeats at least twice"),
+            (2, (J_CHILD, A_PARENT), 3, (0, 4), "span too short for the claimed repetitions"),
+        ],
+        ids=["pattern-length", "one-repetition", "short-span"],
+    )
+    def test_an_inconsistent_report_is_rejected(self, period, pattern, repetitions, span, message):
+        with pytest.raises(ValueError, match=message):
+            GameLoopReport(period, pattern, repetitions, span)
+
 
 class TestReport:
     def test_report_regeneration_is_identical(self, golden_transcript):

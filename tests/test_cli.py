@@ -207,6 +207,19 @@ class TestRun:
         assert not out.exists()
         assert not (tmp_path / "t.json.log").exists()
 
+    def test_budget_and_turn_overrides_reach_the_scenario(
+        self, tmp_path, scenario_file, fixture_file, capsys
+    ):
+        scenario, _ = scenario_file
+        code = run_cli(
+            "run", "--scenario", scenario, "--fixtures", fixture_file,
+            "--budget", "0", "--max-turns", "0",
+        )
+        assert code == EXIT_INPUT
+        lines = capsys.readouterr().err.splitlines()
+        assert "  tool_budget: tool budget must be >= 1" in lines
+        assert "  max_turns: max_turns must be >= 1" in lines
+
     def test_same_seed_prints_same_hash(self, tmp_path, scenario_file, fixture_file, capsys):
         scenario, _ = scenario_file
 
@@ -437,6 +450,14 @@ class TestAnalyze:
 
     def test_fail_on_loops_gate(self, golden_file):
         assert run_cli("analyze", "--transcript", golden_file, "--fail-on-loops") == EXIT_GATE
+
+    def test_a_transcript_with_no_loop_reports_none(self, tmp_path, golden_transcript, capsys):
+        # Two utterances hold no loop: a period-2 loop needs four.
+        short = dataclasses.replace(golden_transcript, utterances=golden_transcript.utterances[:2])
+        path = tmp_path / "short.json"
+        path.write_text(serialize_transcript(short), encoding="utf-8")
+        assert run_cli("analyze", "--transcript", path, "--fail-on-loops") == EXIT_OK
+        assert "game loops: none detected" in capsys.readouterr().out.splitlines()
 
     def test_empty_file_is_input_error(self, tmp_path):
         empty = tmp_path / "empty.json"

@@ -136,6 +136,45 @@ class TestValidateScenario:
         assert "agents[Jordan].personas[Child].memories[1].ego_state" in paths
         assert "agents[Jordan].personas[Child].memories[1].id" in paths
 
+    def test_faults_at_every_level_in_one_ordered_pass(self):
+        jordan = make_agent("Jordan")
+        child = jordan.persona(EgoState.CHILD)
+        stray = MemoryRecord(
+            id=child.memories[0].id, context=" ", reaction="r", emotions=(), tone="t",
+            ego_state=EgoState.PARENT,
+        )
+        broken = dataclasses.replace(
+            jordan,
+            life_script="  ",
+            personas=(
+                jordan.persona(EgoState.PARENT),
+                dataclasses.replace(child, memories=child.memories + (stray,)),
+                EgoPersona(EgoState.CHILD, "another child"),
+            ),
+        )
+        cfg = dataclasses.replace(make_scenario(k=0), agents=(broken, make_agent("Alex")))
+        memory = "agents[Jordan].personas[Child].memories[2]"
+        assert [str(v) for v in validate_scenario(cfg)] == [
+            "agents[Jordan].life_script: life script must be non-empty",
+            "agents[Jordan].personas: exactly one persona required per ego state "
+            "(found ['Parent', 'Child', 'Child'])",
+            f"{memory}.context: memory context must be non-empty",
+            f"{memory}.emotions: at least one emotion label required",
+            f"{memory}.ego_state: record belongs to Parent, persona is Child",
+            f"{memory}.id: duplicate memory id 'jordan-child-0' in partition",
+            "k: retrieval fan-out k must be >= 1",
+        ]
+
+    def test_text_beyond_ascii_that_utf8_encodes_is_valid(self):
+        cfg = make_scenario()
+        jordan = dataclasses.replace(
+            cfg.agents[0], name="Jos\u00e9", life_script="caf\u00e9 \U0001f600 \u4e2d\u6587"
+        )
+        cfg = dataclasses.replace(
+            cfg, agents=(jordan, cfg.agents[1]), opening_prompt="na\u00efve \U0001f600"
+        )
+        assert validate_scenario(cfg) == []
+
 
 class TestUtteranceInvariants:
     def test_text_must_match_chosen_candidate(self):

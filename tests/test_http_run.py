@@ -138,8 +138,7 @@ def no_retries(provider_limits):
 
 def http_backend(base_url: str):
     config = ProviderConfig(
-        kind="http", base_url=base_url, model="stub-model", embedder="stub-embedder",
-        timeout_ms=5000,
+        base_url=base_url, model="stub-model", embedder="stub-embedder", timeout_ms=5000
     )
     return HttpProvider(config, API_KEY), CachingEmbedder(RemoteEmbedder(config, API_KEY))
 

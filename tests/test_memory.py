@@ -143,6 +143,18 @@ class TestCosine:
         assert dense.support == (range(4), dense.values)
         assert dense.support[1] is dense.values
 
+    def test_a_vector_is_immutable(self):
+        v = vec(0, 2, 0, 3)
+        for name in ("dim", "norm", "support", "values"):
+            with pytest.raises(AttributeError, match=f"cannot assign to '{name}'"):
+                setattr(v, name, None)
+        assert v == vec(0, 2, 0, 3)
+
+    def test_a_vector_of_no_dimension_is_rejected(self):
+        for make in (lambda: EmbeddingVector(()), lambda: EmbeddingVector.sparse(0, [], [])):
+            with pytest.raises(MemoryIndexError, match="at least one dimension"):
+                make()
+
     def test_sparse_constructor_equals_the_scanned_vector(self):
         given = EmbeddingVector.sparse(6, [1, 4], [2.0, -5.0])
         scanned = vec(0, 2, 0, 0, -5, 0)

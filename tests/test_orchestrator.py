@@ -69,11 +69,56 @@ class TestStepTurn:
         assert log.count("provider_call") == len(provider.call_log) == 7
 
 
+def _with_alex_child_memory(cfg, **changes):
+    """``cfg``, whose second agent is Alex, with the first memory of Alex's Child changed."""
+    alex = cfg.agent("Alex")
+    child = alex.persona(EgoState.CHILD)
+    memories = (dataclasses.replace(child.memories[0], **changes), *child.memories[1:])
+    personas = tuple(
+        dataclasses.replace(p, memories=memories) if p is child else p for p in alex.personas
+    )
+    agents = (cfg.agents[0], dataclasses.replace(alex, personas=personas))
+    return dataclasses.replace(cfg, agents=agents)
+
+
 class TestRunSimulation:
     def test_invalid_config_is_rejected_up_front(self):
         cfg = dataclasses.replace(make_scenario(), opening_prompt=" ")
         with pytest.raises(InvalidScenarioError):
             run_simulation(cfg, ScriptedProvider([]), HashEmbedder())
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (
+                lambda cfg: dataclasses.replace(cfg, opening_prompt=cfg.opening_prompt + "\ud800"),
+                "opening_prompt",
+            ),
+            (
+                lambda cfg: _with_alex_child_memory(cfg, context="a \udc80 in the report"),
+                "agents[Alex].personas[Child].memories[0]",
+            ),
+            (
+                lambda cfg: dataclasses.replace(
+                    cfg, agents=(dataclasses.replace(cfg.agents[0], name="Jor\udbffdan"),
+                                 cfg.agents[1]),
+                ),
+                "agents[0].name",
+            ),
+        ],
+        ids=["opening-prompt", "memory-context", "agent-name"],
+    )
+    def test_text_utf8_cannot_encode_is_refused_before_any_call(
+        self, stupid_scenario, edit, path
+    ):
+        cfg = edit(stupid_scenario)
+        violation = f"{path}: text holds a surrogate code point, which UTF-8 cannot encode"
+        assert [str(v) for v in validate_scenario(cfg)] == [violation]
+        provider = ScriptedProvider([])
+        with pytest.raises(InvalidScenarioError) as caught:
+            run_simulation(cfg, provider, HashEmbedder())
+        assert [str(v) for v in caught.value.violations] == [violation]
+        assert provider.call_log == []
 
     def test_query_with_no_letter_or_digit_is_malformed_and_the_run_completes(self):
         cfg = make_scenario(max_turns=2)

@@ -159,6 +159,11 @@ class TestHashEmbedder:
         for text in texts:
             assert HashEmbedder().embed(text) == HashEmbedder().embed(text)
 
+    def test_a_dimension_below_one_is_rejected(self):
+        for dim in (0, -1):
+            with pytest.raises(ValueError, match="dim must be >= 1"):
+                HashEmbedder(dim)
+
     def test_default_dim_and_unit_norm(self):
         v = HashEmbedder().embed("three short tokens")
         assert v.dim == 256
