@@ -363,8 +363,10 @@ def validate_scenario(cfg: ScenarioConfig) -> list[Violation]:
         if not _covers_each_ego_once(have):
             bad(f"{at}.personas",
                 f"exactly one persona required per ego state (found {[e.value for e in have]})")
-        for persona in agent.personas:
-            base = f"{at}.personas[{persona.ego_state.value}]"
+        for n, persona in enumerate(agent.personas):
+            # A persona whose ego state an earlier one holds is located by index.
+            ego = persona.ego_state
+            base = f"{at}.personas[{ego.value if have.index(ego) == n else n}]"
             encodable(f"{base}.descriptor", persona.descriptor)
             ids: set[str] = set()
             for j, rec in enumerate(persona.memories):
@@ -719,7 +721,7 @@ def _read_document(tp: Any, text: str, error: type[ValueError], root: str) -> An
         raise error(str(fault))
     try:
         tree = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise error(f"not valid JSON: {e}") from e
     except RecursionError as e:
         raise error("not valid JSON: nested too deeply") from e

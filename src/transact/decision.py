@@ -76,9 +76,9 @@ def render_decision_prompt(
 def parse_scores(raw: str) -> tuple[EgoScores, str]:
     """Extract the three SCORES lines and the RATIONALE from a scoring reply.
 
-    Out-of-range integers clamp to [0, 10] with a logged warning. A missing
-    SCORES line for any ego state raises MalformedDecisionError; a missing
-    RATIONALE degrades to an empty string.
+    Out-of-range integers, however many digits long, clamp to [0, 10] with
+    a logged warning. A missing SCORES line for any ego state raises
+    MalformedDecisionError; a missing RATIONALE degrades to an empty string.
     """
     scores: dict[EgoState, CriterionScores] = {}
     rationale = ""
@@ -88,10 +88,10 @@ def parse_scores(raw: str) -> tuple[EgoScores, str]:
             ego = EgoState(m.group(1))
             if ego not in scores:
                 scores[ego] = CriterionScores(
-                    relevance=_clamp(int(m.group(2)), ego, "relevance"),
-                    progress=_clamp(int(m.group(3)), ego, "progress"),
-                    social_appropriateness=_clamp(int(m.group(4)), ego, "social"),
-                    script_alignment=_clamp(int(m.group(5)), ego, "script"),
+                    relevance=_clamp(m.group(2), ego, "relevance"),
+                    progress=_clamp(m.group(3), ego, "progress"),
+                    social_appropriateness=_clamp(m.group(4), ego, "social"),
+                    script_alignment=_clamp(m.group(5), ego, "script"),
                 )
             continue
         if line.startswith("RATIONALE:") and not rationale:
@@ -102,12 +102,18 @@ def parse_scores(raw: str) -> tuple[EgoScores, str]:
     return EgoScores(*(scores[ego] for ego in EGO_ORDER)), rationale
 
 
-def _clamp(value: int, ego: EgoState, criterion: str) -> int:
+def _clamp(text: str, ego: EgoState, criterion: str) -> int:
+    """The integer ``text`` clamped to [0, 10], with a logged warning when it
+    is out of range. It is read by its sign and first three significant
+    digits, which tell any value past 99 from one in range however long it
+    is."""
+    significant = text.lstrip("-").lstrip("0")
+    value = int(significant[:3] or "0") * (-1 if text[0] == "-" else 1)
     if 0 <= value <= 10:
         return value
     clamped = min(10, max(0, value))
     logger.warning(
-        "decision score out of range: %s %s=%d clamped to %d", ego.value, criterion, value, clamped
+        "decision score out of range: %s %s=%s clamped to %d", ego.value, criterion, text, clamped
     )
     return clamped
 

@@ -10,8 +10,11 @@ import json
 import math
 import random
 import re
+import sys
 from hashlib import blake2b
 from typing import Sequence
+
+import pytest
 
 from transact.core import (
     AgentProfile,
@@ -43,6 +46,15 @@ WORDS = (
 # ---------------------------------------------------------------------------
 # Scenario factories.
 # ---------------------------------------------------------------------------
+
+
+#: An integer literal of more digits than ``int()`` converts under Python's
+#: default limit of 4,300, which Pythons before 3.10.7 do not have.
+LONG_INTEGER = "9" * 5000
+needs_int_digit_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG_INTEGER),
+    reason="int() converts an integer of any length here",
+)
 
 
 def make_record(

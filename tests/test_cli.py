@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,11 @@ import transact
 
 from conftest import asset_path
 from helpers import (
+    LONG_INTEGER,
     assert_run_log_ends_in_failed_turn,
     drop_first_score,
     make_scenario,
+    needs_int_digit_limit,
     simple_run_fixtures,
 )
 from test_acceptance import GOLDEN_RUN_SHA256
@@ -34,6 +37,7 @@ from transact.core import (
 )
 from transact.provider import ScriptedProvider
 
+REPO = Path(__file__).resolve().parents[1]
 
 @pytest.fixture()
 def scenario_file(tmp_path):
@@ -312,12 +316,14 @@ class TestRun:
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_fixture_underrun_is_runtime_error_with_partial_transcript(
-        self, tmp_path, scenario_file, capsys
+        self, tmp_path, capsys
     ):
-        scenario, cfg = scenario_file
+        cfg = make_scenario(max_turns=3)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(serialize_scenario(cfg), encoding="utf-8")
         entries = [
             {"key": k, "response": r}
-            for k, r in simple_run_fixtures(cfg)[: 7]  # one full turn only
+            for k, r in simple_run_fixtures(cfg)[: 14]  # two full turns of three
         ]
         fixtures = tmp_path / "short.json"
         fixtures.write_text(json.dumps(entries), encoding="utf-8")
@@ -328,11 +334,14 @@ class TestRun:
         assert code == EXIT_RUNTIME
         partial = parse_transcript(out.read_text(encoding="utf-8"))
         assert partial.termination_reason is None
-        assert len(partial.utterances) == 1
-        assert_run_log_ends_in_failed_turn(tmp_path / "partial.json.log", 1)
-        # The completed turn's summary line is printed all the same.
-        u = partial.utterances[0]
-        assert capsys.readouterr().out == f"[00] Alex ({u.chosen_ego.value}): {u.text}\n"
+        assert [u.speaker for u in partial.utterances] == ["Alex", "Jordan"]
+        assert_run_log_ends_in_failed_turn(tmp_path / "partial.json.log", 2)
+        # Each completed turn's summary line is printed all the same.
+        assert capsys.readouterr().out == "".join(
+            f"[{u.turn:02d}] {u.speaker} ({u.chosen_ego.value}): {u.text}\n"
+            for u in partial.utterances
+        )
+        assert run_cli("analyze", "--transcript", out) == EXIT_OK
 
     def test_failed_index_build_still_writes_the_transcript_and_log(self, tmp_path, capsys):
         # "..." has no token to hash-embed, so the first partition's build fails.
@@ -353,7 +362,7 @@ class TestRun:
         assert (tmp_path / "partial.json.log").read_text(encoding="utf-8") == ""
 
     def test_bundled_scenario_runs_from_the_command_line(self, tmp_path, capsys):
-        out = tmp_path / "stupid-run.json"
+        out = tmp_path / "golden.json"
         code = run_cli(
             "run",
             "--scenario", asset_path("stupid.json"),
@@ -361,8 +370,21 @@ class TestRun:
             "--out", out,
         )
         assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == f"transcript hash: {GOLDEN_RUN_SHA256}"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_RUN_SHA256
         t = parse_transcript(out.read_text(encoding="utf-8"))
         assert len(t.utterances) == 10
+        # Every search step is logged, a repeated one the index's memo answered
+        # included, and every provider call: a change that adds or drops one
+        # fails here even when the transcript hash holds. Each turn logs its
+        # start, its decision and its utterance.
+        log = (tmp_path / "golden.json.log").read_text(encoding="utf-8")
+        events = [json.loads(line) for line in log.splitlines()]
+        assert sum(e.get("action") == "search" for e in events) == 30
+        kinds = Counter(e["kind"] for e in events)
+        assert [kinds[k] for k in ("provider_call", "turn_start", "decision", "utterance")] == [
+            70, 10, 10, 10,
+        ]
 
     def test_hash_without_out_is_the_golden_hash(self, capsys):
         code = run_cli(
@@ -371,8 +393,26 @@ class TestRun:
             "--fixtures", asset_path("stupid_fixtures.json"),
         )
         assert code == EXIT_OK
-        printed = re.search(r"transcript hash: (\w+)", capsys.readouterr().out).group(1)
-        assert printed == GOLDEN_RUN_SHA256
+        assert capsys.readouterr().out.splitlines()[-1] == f"transcript hash: {GOLDEN_RUN_SHA256}"
+
+    def test_a_generated_large_memory_run_prints_the_oracle_hash(self, tmp_path, capsys):
+        # Partitions of up to 1,500 records: the printed hash and the written
+        # file must equal the hash that the benchmark's independent exact
+        # oracle predicts for the seed.
+        subprocess.run(
+            [sys.executable, "-m", "perfbench.gen", "large_memory", "3", str(tmp_path)],
+            cwd=REPO, check=True, capture_output=True, timeout=120,
+        )
+        expected = json.loads((tmp_path / "expected.json").read_text(encoding="utf-8"))
+        out = tmp_path / "run.json"
+        code = run_cli(
+            "run", "--scenario", tmp_path / "scenario.json",
+            "--fixtures", tmp_path / "fixtures.json", "--out", out,
+        )
+        assert code == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()[-1]
+        assert printed == f"transcript hash: {expected['transcript']}"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected["transcript"]
 
     def test_reader_that_closes_stdout_after_the_first_line_stops_only_the_summary(
         self, tmp_path, golden_transcript
@@ -443,10 +483,16 @@ class TestAnalyze:
         return path
 
     def test_report_contains_the_rescue_loop(self, golden_file, capsys):
-        assert run_cli("analyze", "--transcript", golden_file) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "Jordan as Child -> Alex as Parent" in out
-        assert "budget audit (limit 5): clean" in out
+        # The paper's game: Jordan's Child and Alex's Parent in a rescue loop,
+        # with every ego turn within the scenario's search budget.
+        scenario = asset_path("stupid.json")
+        assert run_cli("analyze", "--transcript", golden_file, "--scenario", scenario) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert (
+            "  turns 1-9: [Jordan as Child -> Alex as Parent] x4 (period 2) [rescue pattern]"
+            in lines
+        )
+        assert "budget audit (limit 5): clean" in lines
 
     def test_fail_on_loops_gate(self, golden_file):
         assert run_cli("analyze", "--transcript", golden_file, "--fail-on-loops") == EXIT_GATE
@@ -581,8 +627,9 @@ class TestAnalyze:
 class TestValidate:
     def test_valid_scenario(self, scenario_file, capsys):
         scenario, _ = scenario_file
-        assert run_cli("validate", "--scenario", scenario) == EXIT_OK
-        assert "scenario valid" in capsys.readouterr().out
+        for path in (scenario, asset_path("stupid.json")):
+            assert run_cli("validate", "--scenario", path) == EXIT_OK
+            assert "scenario valid" in capsys.readouterr().out
 
     def test_unparseable_scenario(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -739,6 +786,8 @@ class TestInteractive:
         assert proc.stdout.splitlines()[-1] == (
             f"transcript hash: {hashlib.sha256(data).hexdigest()}"
         )
+        assert (tmp_path / "mine.json.log").is_file()
+        assert run_cli("analyze", "--transcript", tmp_path / "mine.json") == EXIT_OK
 
     def test_stdout_closed_before_the_intro_stops_only_the_printed_lines(self, tmp_path):
         # The pipe's read end is closed before the child starts, so its first
@@ -808,23 +857,38 @@ class TestInteractive:
         assert_run_log_ends_in_failed_turn(tmp_path / "partial.json.log", 3)
 
 
-@pytest.mark.parametrize(
+#: Each command on one input file, and the name its parse error gives the file.
+each_input_file = pytest.mark.parametrize(
     "command, located",
     [
-        (("validate", "--scenario", "{deep}"), "scenario does not parse"),
+        (("validate", "--scenario", "{path}"), "scenario does not parse"),
         (
-            ("run", "--scenario", str(asset_path("stupid.json")), "--fixtures", "{deep}"),
+            ("run", "--scenario", str(asset_path("stupid.json")), "--fixtures", "{path}"),
             "fixture file does not parse",
         ),
-        (("analyze", "--transcript", "{deep}"), "transcript does not parse"),
+        (("analyze", "--transcript", "{path}"), "transcript does not parse"),
     ],
     ids=["validate", "run", "analyze"],
 )
+
+
+@each_input_file
 def test_input_nested_too_deeply_is_input_error(tmp_path, capsys, command, located):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
-    assert run_cli(*(arg.format(deep=deep) for arg in command)) == EXIT_INPUT
+    assert run_cli(*(arg.format(path=deep) for arg in command)) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {located}: not valid JSON: nested too deeply\n"
+
+
+@needs_int_digit_limit
+@each_input_file
+def test_an_integer_past_the_digit_limit_is_input_error(tmp_path, capsys, command, located):
+    long = tmp_path / "long.json"
+    long.write_text(LONG_INTEGER, encoding="utf-8")
+    assert run_cli(*(arg.format(path=long) for arg in command)) == EXIT_INPUT
+    with pytest.raises(ValueError) as limit:
+        int(LONG_INTEGER)
+    assert capsys.readouterr().err == f"error: {located}: not valid JSON: {limit.value}\n"
 
 
 @pytest.mark.parametrize(

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    LONG_INTEGER,
     drop_first_score,
     make_agent,
     make_scenario,
     random_scenario,
     random_transcript,
+    needs_int_digit_limit,
 )
 from transact.core import (
     AgentProfile,
@@ -163,6 +165,22 @@ class TestValidateScenario:
             f"{memory}.ego_state: record belongs to Parent, persona is Child",
             f"{memory}.id: duplicate memory id 'jordan-child-0' in partition",
             "k: retrieval fan-out k must be >= 1",
+        ]
+
+    def test_a_second_persona_of_one_ego_state_is_located_by_its_index(self):
+        jordan = make_agent("Jordan")
+        child = jordan.persona(EgoState.CHILD)
+        blank = dataclasses.replace(child.memories[0], context=" ")
+        second = dataclasses.replace(child, memories=(blank,))
+        broken = dataclasses.replace(
+            jordan, personas=(jordan.persona(EgoState.PARENT), second, second)
+        )
+        cfg = dataclasses.replace(make_scenario(), agents=(broken, make_agent("Alex")))
+        assert [str(v) for v in validate_scenario(cfg)] == [
+            "agents[Jordan].personas: exactly one persona required per ego state "
+            "(found ['Parent', 'Child', 'Child'])",
+            "agents[Jordan].personas[Child].memories[0].context: memory context must be non-empty",
+            "agents[Jordan].personas[2].memories[0].context: memory context must be non-empty",
         ]
 
     def test_text_beyond_ascii_that_utf8_encodes_is_valid(self):
@@ -371,6 +389,25 @@ class TestSerialization:
         assert str(info.value) == (
             f"unpaired surrogate escape {text[at : at + 6]}: line 1 column {at + 1} (char {at})"
         )
+
+    @needs_int_digit_limit
+    @pytest.mark.parametrize("root", ["scenario", "transcript"])
+    def test_an_integer_past_the_digit_limit_is_a_format_error(
+        self, stupid_scenario, golden_transcript, root
+    ):
+        if root == "scenario":
+            tree = json.loads(serialize_scenario(stupid_scenario))
+            tree["seed"] = "LONG"
+            parse, error = parse_scenario, ScenarioFormatError
+        else:
+            tree = json.loads(serialize_transcript(golden_transcript))
+            tree["utterances"][0]["turn"] = "LONG"
+            parse, error = parse_transcript, TranscriptFormatError
+        with pytest.raises(ValueError) as limit:
+            int(LONG_INTEGER)
+        with pytest.raises(error) as info:
+            parse(json.dumps(tree).replace('"LONG"', LONG_INTEGER))
+        assert str(info.value) == f"not valid JSON: {limit.value}"
 
     def test_an_escaped_surrogate_pair_parses(self, stupid_scenario):
         tree = json.loads(serialize_scenario(stupid_scenario))

@@ -104,6 +104,27 @@ class TestParseScores:
         assert scores.parent.social_appropriateness == 0
         assert any("clamped" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        "score, value",
+        [("9" * 5000, 10), ("-" + "9" * 5000, 0), ("0" * 4999 + "7", 7)],
+        ids=["nines", "negative-nines", "zero-padded-seven"],
+    )
+    def test_a_score_of_more_digits_than_int_converts_clamps_by_its_value(
+        self, caplog, score, value
+    ):
+        raw = (
+            f"SCORES Parent: relevance={score} progress=5 social=6 script=3\n"
+            "SCORES Adult: relevance=1 progress=1 social=1 script=1\n"
+            "SCORES Child: relevance=0 progress=0 social=0 script=0\n"
+        )
+        with caplog.at_level("WARNING"):
+            scores, _ = parse_scores(raw)
+        assert scores.parent == CriterionScores(value, 5, 6, 3)
+        # Out of range is clamped with the warning; a zero-padded 7 is in range.
+        assert [r.getMessage() for r in caplog.records] == ([] if value == 7 else [
+            f"decision score out of range: Parent relevance={score} clamped to {value}"
+        ])
+
     def test_missing_ego_line_is_malformed(self):
         raw = (
             "SCORES Parent: relevance=7 progress=5 social=6 script=3\n"
