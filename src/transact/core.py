@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import re
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -710,6 +711,22 @@ _SURROGATE_ESCAPE = re.compile(
     r"\\(?:\\|u(?i:d[89ab][0-9a-f]{2})\\u(?i:d[c-f][0-9a-f]{2})|(u(?i:d[89a-f][0-9a-f]{2})))"
 )
 
+#: A JSON string whole, so digits in it are passed over, or a number, with its
+#: integer digits, fraction and exponent captured.
+_STRING_OR_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?')
+
+
+def _long_integer_fault(text: str) -> json.JSONDecodeError:
+    """The first integer in JSON ``text`` of more digits than ``int()``
+    converts, located as a decode error is."""
+    limit = sys.get_int_max_str_digits()
+    at = next(
+        m.start()
+        for m in _STRING_OR_NUMBER.finditer(text)
+        if m[1] and not (m[2] or m[3]) and len(m[1]) > limit
+    )
+    return json.JSONDecodeError(f"integer of more than {limit} digits", text, at)
+
 
 def _read_document(tp: Any, text: str, error: type[ValueError], root: str) -> Any:
     """Parse ``text`` as a ``tp`` document whose faults are located from
@@ -721,8 +738,10 @@ def _read_document(tp: Any, text: str, error: type[ValueError], root: str) -> An
         raise error(str(fault))
     try:
         tree = json.loads(text)
-    except ValueError as e:  # a JSONDecodeError, or an integer past int()'s digit limit
+    except json.JSONDecodeError as e:
         raise error(f"not valid JSON: {e}") from e
+    except ValueError as e:  # an integer past int()'s digit limit
+        raise error(f"not valid JSON: {_long_integer_fault(text)}") from e
     except RecursionError as e:
         raise error("not valid JSON: nested too deeply") from e
     try:

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -403,11 +404,33 @@ class TestSerialization:
             tree = json.loads(serialize_transcript(golden_transcript))
             tree["utterances"][0]["turn"] = "LONG"
             parse, error = parse_transcript, TranscriptFormatError
-        with pytest.raises(ValueError) as limit:
-            int(LONG_INTEGER)
+        text = json.dumps(tree).replace('"LONG"', LONG_INTEGER)
+        at = text.index(LONG_INTEGER)
         with pytest.raises(error) as info:
-            parse(json.dumps(tree).replace('"LONG"', LONG_INTEGER))
-        assert str(info.value) == f"not valid JSON: {limit.value}"
+            parse(text)
+        assert str(info.value) == (
+            f"not valid JSON: integer of more than {sys.get_int_max_str_digits()} digits: "
+            f"line 1 column {at + 1} (char {at})"
+        )
+
+    @needs_int_digit_limit
+    def test_the_long_integer_is_located_past_long_strings_and_floats(self, stupid_scenario):
+        cfg = dataclasses.replace(stupid_scenario, opening_prompt=LONG_INTEGER)
+        text = serialize_scenario(cfg)
+        weight = '"relevance": ' + json.dumps(cfg.decision_weights.relevance)
+        seed = f'"seed": {cfg.seed}'
+        assert text.index(weight) < text.index(LONG_INTEGER) < text.index(seed)
+        text = text.replace(weight, '"relevance": 0.' + LONG_INTEGER)
+        text = text.replace(seed, '"seed": -' + LONG_INTEGER)
+        at = text.index('"seed": -') + len('"seed": ')
+        line = text.count("\n", 0, at) + 1
+        column = at - text.rindex("\n", 0, at)
+        with pytest.raises(ScenarioFormatError) as info:
+            parse_scenario(text)
+        assert str(info.value) == (
+            f"not valid JSON: integer of more than {sys.get_int_max_str_digits()} digits: "
+            f"line {line} column {column} (char {at})"
+        )
 
     def test_an_escaped_surrogate_pair_parses(self, stupid_scenario):
         tree = json.loads(serialize_scenario(stupid_scenario))
