@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import WORDS, cosine_oracle, make_record, search_oracle
-from transact.core import EgoState
+from test_acceptance import GOLDEN_RUN_SHA256
+from transact import memory, orchestrator
+from transact.core import EgoState, transcript_hash
 from transact.memory import (
     EmbeddingVector,
     MemoryIndex,
@@ -19,7 +22,7 @@ from transact.memory import (
     cosine_similarity,
     search_top_k,
 )
-from transact.provider import HashEmbedder
+from transact.provider import HashEmbedder, ScriptedProvider
 
 
 def vec(*values: float) -> EmbeddingVector:
@@ -149,6 +152,16 @@ class TestCosine:
             with pytest.raises(AttributeError, match=f"cannot assign to '{name}'"):
                 setattr(v, name, None)
         assert v == vec(0, 2, 0, 3)
+
+    def test_a_vector_built_from_a_list_keeps_its_own_tuple(self):
+        given = [1.0, 2.0, 3.0]
+        built = EmbeddingVector(given)
+        assert built == vec(1, 2, 3)
+        assert hash(built) == hash(vec(1, 2, 3))
+        given[0] = 9.0
+        assert built.values == (1.0, 2.0, 3.0)
+        assert built.support[1] == (1.0, 2.0, 3.0)
+        assert built.norm == vec(1, 2, 3).norm
 
     def test_a_vector_of_no_dimension_is_rejected(self):
         for make in (lambda: EmbeddingVector(()), lambda: EmbeddingVector.sparse(0, [], [])):
@@ -335,6 +348,17 @@ def assert_bit_identical_to_oracle(idx, query: str, k: int, embedder) -> None:
     want = search_oracle(idx, query, k, embedder)
     assert [rec.id for rec, _ in got] == [rid for rid, _ in want]
     assert [s.hex() for _, s in got] == [s.hex() for _, s in want]
+
+
+def search_each_path(idx: MemoryIndex, query: str, k: int) -> dict[str, list]:
+    """The hits of a sparse search through the postings filter and of one that
+    scores every entry exactly, each on a new index over ``idx``'s entries."""
+    hits = {}
+    for path, scan_max in (("filter", 0), ("scan", len(idx))):
+        fresh = MemoryIndex(idx.agent, idx.ego_state, idx.entries, idx.embedder)
+        with mock.patch.object(memory, "_SCAN_MAX", scan_max):
+            hits[path] = search_top_k(fresh, query, k)
+    return hits
 
 
 class TestSearchTopK:
@@ -577,6 +601,9 @@ def test_search_equals_oracle_property(data):
         return
     assert_bit_identical_to_oracle(idx, query, k, embedder)
     assert len(search_top_k(idx, query, k)) == min(k, n)
+    hits = search_each_path(idx, query, k)
+    assert hits_hex(hits["filter"]) == hits_hex(hits["scan"])
+    assert hits_hex(hits["scan"]) == hits_hex(search_top_k(idx, query, k))
 
 
 class TestBatchScorer:
@@ -588,8 +615,16 @@ class TestBatchScorer:
         embedder = FixedEmbedder(table, dim=len(query))
         records = [make_record(t, EgoState.ADULT, context=t) for t in table if t != "q"]
         idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
-        assert_bit_identical_to_oracle(idx, "q", k, embedder)
+        self.assert_each_path_equals_oracle(idx, k, embedder)
         return idx, embedder
+
+    def assert_each_path_equals_oracle(self, idx, k, embedder):
+        # Most cases have 16 entries or fewer, so by default they are scanned;
+        # each is also filtered through postings, and each larger one scanned.
+        want = [(rid, s.hex()) for rid, s in search_oracle(idx, "q", k, embedder)]
+        hits = {"default": search_top_k(idx, "q", k), **search_each_path(idx, "q", k)}
+        for path, got in hits.items():
+            assert hits_hex(got) == want, path
 
     def test_query_with_one_non_zero_entry(self):
         query = (0.0, 0.0, -0.3, 0.0, 0.0)
@@ -674,7 +709,7 @@ class TestBatchScorer:
             assert len(ks) > len(vectors) // 2
             idx, embedder = self.search_case(query, vectors, k=ks[0])
             for k in ks[1:]:
-                assert_bit_identical_to_oracle(idx, "q", k, embedder)
+                self.assert_each_path_equals_oracle(idx, k, embedder)
 
     def test_subnormal_range_norms_are_rejected(self):
         # Squares of entries near 1e-160 underflow, so such norms lose precision;
@@ -715,6 +750,42 @@ class TestLazyForms:
         assert "_postings" in vars(idx)
         assert len(seen) == 28
         assert not any("values" in vars(v) for v in seen)
+
+    def partition(self, n: int) -> MemoryIndex:
+        records = [
+            make_record(f"r{i:02d}", EgoState.ADULT, context=" ".join(WORDS[i : i + 3]))
+            for i in range(n)
+        ]
+        return build_index(records, HashEmbedder(), agent="X", ego_state=EgoState.ADULT)
+
+    def test_a_sparse_search_of_at_most_scan_max_entries_builds_no_postings(self):
+        idx = self.partition(memory._SCAN_MAX)
+        assert_bit_identical_to_oracle(idx, "budget report error", 3, idx.embedder)
+        assert "_postings" not in vars(idx)
+
+    def test_a_sparse_search_of_one_entry_more_builds_postings(self):
+        idx = self.partition(memory._SCAN_MAX + 1)
+        assert_bit_identical_to_oracle(idx, "budget report error", 3, idx.embedder)
+        assert "_postings" in vars(idx)
+
+    def test_the_bundled_run_builds_no_postings(self, stupid_scenario, stupid_fixtures):
+        built: list[dict] = []
+        original = orchestrator.build_indices
+
+        def build_indices(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        with mock.patch.object(orchestrator, "build_indices", build_indices):
+            transcript = orchestrator.run_simulation(
+                stupid_scenario, ScriptedProvider(stupid_fixtures), HashEmbedder()
+            )
+        assert transcript_hash(transcript) == GOLDEN_RUN_SHA256
+        (indices,) = built
+        assert len(indices) == 6
+        assert all(len(idx) <= memory._SCAN_MAX for idx in indices.values())
+        assert not any("_postings" in vars(idx) for idx in indices.values())
+        assert all(idx._memo for idx in indices.values())
 
     def test_dense_queries_never_build_postings(self):
         rng = random.Random(11)
