@@ -154,15 +154,19 @@ def _summary_line(u: Utterance) -> str:
     return f"[{u.turn:02d}] {u.speaker} ({u.chosen_ego.value}): {text[:80]}"
 
 
-def _check_out(args: argparse.Namespace, *, log: bool) -> None:
-    """Reject an ``--out`` path that cannot be written, before any work starts;
-    nothing is created. With ``log``, its ``.log`` sibling is written too."""
+def _check_out(args: argparse.Namespace, *, log: bool, inputs: tuple[str | None, ...]) -> None:
+    """Reject an ``--out`` path that cannot be written, or would overwrite one
+    of the existing ``inputs``, before any work starts; nothing is created.
+    With ``log``, its ``.log`` sibling is written too."""
     if not args.out:
         return
     out = Path(args.out)
     for path in (out, out.with_name(out.name + ".log")) if log else (out,):
         if path.is_dir():
             raise CliInputError(f"--out {out}: {path} is a directory")
+        for name in inputs:
+            if name and path.exists() and os.path.exists(name) and path.samefile(name):
+                raise CliInputError(f"--out {out}: {path} is the input file {name}")
     if not out.parent.is_dir():
         raise CliInputError(f"--out {out}: {out.parent} is not a directory")
 
@@ -204,7 +208,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if human is not None and human not in {a.name for a in cfg.agents}:
         raise CliInputError(f"--as {human!r} does not name a scenario agent")
     provider, embedder = _build_backend(args)
-    _check_out(args, log=True)
+    _check_out(args, log=True, inputs=(args.scenario, args.fixtures))
     run_log = RunLog()
 
     # A failed stdout write (a reader that closed the pipe) stops the printed
@@ -259,7 +263,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.budget is not None and args.budget < 1:
         raise CliInputError(f"--budget must be >= 1, got {args.budget}")
-    _check_out(args, log=False)
+    _check_out(args, log=False, inputs=(args.transcript, args.scenario))
     cfg = _read_scenario(args.scenario) if args.scenario else None
     transcript = _load_document(Transcript, Path(args.transcript), CliInputError, "transcript")
     if cfg is None:
@@ -279,6 +283,3 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_GATE
     return EXIT_OK
 
-
-if __name__ == "__main__":
-    sys.exit(main())

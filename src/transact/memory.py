@@ -88,9 +88,8 @@ Rounding can put a cosine just outside [-1, 1]: the raw self-cosine of
 NaN, and the clamp ``min(1.0, max(-1.0, x))`` leaves every score
 in [-1, 1] as it is.
 
-The top k are ranked by the keys (-score, id, position), as a full sort of
-every entry would rank them. The k-th best exact score is found first, and
-only the entries scoring at least that, ties included, get a key.
+The top k are the first k scored entries sorted by the keys
+(-score, id, position), as a full sort of every entry would rank them.
 
 Vectors and index entries never change after build. What is built on first
 use by ``cached_property`` (a vector's values, an index's postings) is a
@@ -144,9 +143,7 @@ _SCAN_MAX = 16
 
 
 def _check_finite(values: Sequence[float]) -> None:
-    # A finite sum means finite entries; the exact scan runs only when the
-    # sum is not, which finite entries whose sum overflows also pass.
-    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+    if not all(map(math.isfinite, values)):
         raise MemoryIndexError("embedding entries must all be finite")
 
 
@@ -262,21 +259,10 @@ def _row_dots(q: EmbeddingVector, rows: Iterable[Sequence[float]]) -> Iterable[f
     return map(math.fsum, map(map, repeat(operator.mul), repeat(q.values), rows))
 
 
-def _kth_largest(values: Sequence[float], k: int) -> float:
-    """The k-th largest of ``values``, or the least if there are fewer."""
-    # heapq's selection runs Python code on every call; below a few hundred
-    # values a C-level sort is faster.
-    if len(values) <= 256:
-        return sorted(values, reverse=True)[:k][-1]
-    return heapq.nlargest(k, values)[-1]
-
-
 def _cosines(q: EmbeddingVector, dots: Iterable[float], norms: Iterable[float]) -> list[float]:
     """Each dot(q, e) / (|q| * |e|), clamped to [-1, 1] against float rounding."""
-    scores = list(map(operator.truediv, dots, map(operator.mul, repeat(q.norm), norms)))
-    if scores and (min(scores) < -1.0 or max(scores) > 1.0):
-        return [min(1.0, max(-1.0, s)) for s in scores]
-    return scores
+    q_norm = q.norm
+    return [min(1.0, max(-1.0, dot / (q_norm * norm))) for dot, norm in zip(dots, norms)]
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -356,7 +342,8 @@ class MemoryIndex:
                     for i, v in zip(positions, values):
                         acc[i] += q_d * v
             q_norm = q.norm
-            kth = min(q_norm, max(-q_norm, _kth_largest(acc, k)))
+            # The k-th largest, or the least when there are fewer than k.
+            kth = min(q_norm, max(-q_norm, heapq.nlargest(k, acc)[-1]))
             margin = (len(q.support[0]) + 3) * 2.0**-52
             low = kth - 2 * margin * q_norm
             if low > -q_norm:
@@ -432,9 +419,8 @@ def search_top_k(idx: MemoryIndex, query: str, k: int) -> list[tuple[MemoryRecor
         positions, scores = idx._sparse_scores(q, k)
     # The position breaks ties of equal ids, so records are never compared, and
     # keeps the order a stable sort gives.
-    kth = _kth_largest(scores, k)
     entries = idx.entries
-    ranked = sorted([(-s, entries[i][0].id, i) for i, s in zip(positions, scores) if s >= kth])
+    ranked = sorted([(-s, entries[i][0].id, i) for i, s in zip(positions, scores)])
     # Negation is exact: each key gives back its score's bits.
     hits = tuple((entries[i][0], -neg) for neg, _, i in ranked[:k])
     idx._memo[key] = hits

@@ -110,6 +110,16 @@ def _touch(path):
     return path
 
 
+def _link(target, path):
+    os.link(target, path)
+    return path
+
+
+def _snapshot(root):
+    """Every path under ``root``, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 def unreadable_inputs(tmp_path):
     """A missing file, a directory and a file that is not UTF-8, each with a
     template of the text its error message must carry."""
@@ -286,9 +296,14 @@ class TestRun:
             ("run", lambda tmp: _mkdir(tmp / "t.json.log").with_suffix("")),
             ("run", lambda tmp: tmp / "absent" / "t.json"),
             ("run", lambda tmp: _touch(tmp / "a-file") / "t.json"),
+            ("run", lambda tmp: tmp / "scenario.json"),
+            ("run", lambda tmp: _link(tmp / "fixtures.json", tmp / "t.json.log").with_suffix("")),
             ("interactive", lambda tmp: _mkdir(tmp / "outdir")),
         ],
-        ids=["directory", "log-directory", "missing-parent", "file-parent", "interactive"],
+        ids=[
+            "directory", "log-directory", "missing-parent", "file-parent", "scenario",
+            "log-is-fixtures", "interactive",
+        ],
     )
     def test_unwritable_out_is_input_error_before_the_run(
         self, tmp_path, scenario_file, fixture_file, monkeypatch, capsys, command, out_path
@@ -304,7 +319,7 @@ class TestRun:
         monkeypatch.setattr("builtins.input", _no_run)
         scenario, cfg = scenario_file
         out = out_path(tmp_path)
-        before = sorted(tmp_path.rglob("*"))
+        before = _snapshot(tmp_path)
         extra = ("--as", cfg.first_speaker) if command == "interactive" else ()
         code = run_cli(
             command, "--scenario", scenario, "--fixtures", fixture_file, "--out", out, *extra
@@ -313,7 +328,7 @@ class TestRun:
         assert f"error: --out {out}: " in capsys.readouterr().err
         # No provider call was made, and nothing was written.
         assert [p.remaining() for p in built] == [len(simple_run_fixtures(cfg))]
-        assert sorted(tmp_path.rglob("*")) == before
+        assert _snapshot(tmp_path) == before
 
     def test_fixture_underrun_is_runtime_error_with_partial_transcript(
         self, tmp_path, capsys
@@ -552,18 +567,22 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "out_path",
-        [lambda tmp: _mkdir(tmp / "outdir"), lambda tmp: tmp / "absent" / "report.json"],
-        ids=["directory", "missing-parent"],
+        [
+            lambda tmp: _mkdir(tmp / "outdir"),
+            lambda tmp: tmp / "absent" / "report.json",
+            lambda tmp: tmp / "golden.json",
+        ],
+        ids=["directory", "missing-parent", "transcript"],
     )
     def test_unwritable_out_is_input_error_before_reading(
         self, tmp_path, golden_file, monkeypatch, capsys, out_path
     ):
         monkeypatch.setattr("transact.cli._load_document", _no_run)
         out = out_path(tmp_path)
-        before = sorted(tmp_path.rglob("*"))
+        before = _snapshot(tmp_path)
         assert run_cli("analyze", "--transcript", golden_file, "--out", out) == EXIT_INPUT
         assert f"error: --out {out}: " in capsys.readouterr().err
-        assert sorted(tmp_path.rglob("*")) == before
+        assert _snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_budget_below_one_is_input_error(self, golden_file, capsys, budget):

@@ -637,6 +637,30 @@ class TestBatchScorer:
         assert vec(*query).support[0] == range(4)
         self.search_case(query, [(1, 0, 0, 0), (0, 0, 3, 0), (1, 2, 3, 4), (-1, -1, 0, 1)], k=4)
 
+    def test_dense_query_ranks_entries_tied_past_k_by_ascending_id(self):
+        # k + 2 equal entries tie at the k-th score, so the dense row walk's one
+        # sort must order them by id, which is not their position order.
+        k = 3
+        table = {
+            "q": (1.0, 2.0, 3.0, 4.0),
+            "better": (1.0, 2.0, 3.0, 4.5),
+            "tied": (4.0, 3.0, 2.0, 1.0),
+            "worse": (4.0, -3.0, 2.0, -1.0),
+        }
+        assert vec(*table["q"]).support[0] == range(4)
+        embedder = FixedEmbedder(table, dim=4)
+        ids = ["worse", "t4", "t0", "t3", "better", "t1", "t2"]
+        records = [
+            make_record(rid, EgoState.ADULT, context=rid if rid in table else "tied")
+            for rid in ids
+        ]
+        idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
+        for n in (k, len(idx)):
+            self.assert_each_path_equals_oracle(idx, n, embedder)
+        hits = search_top_k(idx, "q", len(idx))
+        assert [rec.id for rec, _ in hits] == ["better", "t0", "t1", "t2", "t3", "t4", "worse"]
+        assert len({s for _, s in hits[1:6]}) == 1
+
     def test_negative_entries(self):
         rng = random.Random(3)
         vectors = [
