@@ -29,7 +29,7 @@ def ego_distribution(t: Transcript) -> dict[str, dict[EgoState, int]]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GameLoopReport:
     """A maximal repeating run: ``pattern`` recurs ``repetitions`` times
     starting at ``span[0]`` and the whole run ends at ``span[1]`` (inclusive)."""
@@ -112,7 +112,7 @@ def rescue_patterns(reports: list[GameLoopReport]) -> list[GameLoopReport]:
     return [r for r in reports if is_rescue_pattern(r)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BudgetViolation:
     turn: int
     speaker: str

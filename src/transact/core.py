@@ -52,7 +52,7 @@ class TranscriptFormatError(ValueError):
     """Transcript document is malformed or internally inconsistent."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryRecord:
     """One stored memory: ``context`` is the searchable key, the rest is payload."""
 
@@ -64,14 +64,14 @@ class MemoryRecord:
     ego_state: EgoState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EgoPersona:
     ego_state: EgoState
     descriptor: str
     memories: tuple[MemoryRecord, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentProfile:
     name: str
     life_script: str
@@ -84,7 +84,7 @@ class AgentProfile:
         raise KeyError(f"{self.name} has no {ego.value} persona")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionWeights:
     """Non-negative weights over the four decision criteria, summing to 1."""
 
@@ -102,7 +102,7 @@ class DecisionWeights:
 _CRITERIA = tuple(f.name for f in fields(DecisionWeights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     agents: tuple[AgentProfile, ...]
     opening_prompt: str
@@ -128,7 +128,7 @@ class ScenarioConfig:
         raise KeyError("scenario has no second agent")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriterionScores:
     """Integer 0..10 marks on the four decision criteria."""
 
@@ -153,7 +153,7 @@ def _covers_each_ego_once(egos: Iterable[EgoState]) -> bool:
 _EGO_SET = frozenset(EGO_ORDER)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EgoScores:
     """One decision's marks for each ego state's candidate."""
 
@@ -208,7 +208,7 @@ def select_ego(scores: EgoScores, weights: DecisionWeights) -> EgoState:
     return best
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionRecord:
     """Scores, weights, and the chosen ego state for one decision step.
 
@@ -227,7 +227,7 @@ class DecisionRecord:
             raise ValueError("chosen is inconsistent with the recomputed weighted argmax")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EgoResponse:
     """One ego state's candidate reply for a turn."""
 
@@ -245,7 +245,7 @@ class EgoResponse:
             raise ValueError("searches_performed must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetrievalEvent:
     """One memory search: who queried, with what, and what came back."""
 
@@ -259,7 +259,7 @@ class RetrievalEvent:
             raise ValueError("hit_ids and scores must be the same length")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utterance:
     turn: int
     speaker: str
@@ -279,7 +279,7 @@ class Utterance:
             raise ValueError("utterance text must equal the chosen candidate's text")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProviderId:
     """Provenance triple recorded into every transcript."""
 
@@ -288,7 +288,7 @@ class ProviderId:
     embedder: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transcript:
     scenario_fingerprint: str
     provider: ProviderId
@@ -309,7 +309,7 @@ class Transcript:
             raise ValueError("a transcript has at most two speakers")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One scenario rule breach, located by a path such as
 

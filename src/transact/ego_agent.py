@@ -37,20 +37,20 @@ class MalformedStepError(ValueError):
     """A search action without a usable Action Input line."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchMemories:
     query: str
     thought: str | None  # the answer, should the spent budget force one here
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinalAnswer:
     text: str
     emotion: str
     tone: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EgoTurnContext:
     """Everything one ego turn may see besides its memory partition, which
     names the agent and ego state. The turn is the history's length. The life
@@ -67,7 +67,7 @@ class EgoTurnContext:
         return len(self.history)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EgoTurnOutcome:
     response: EgoResponse
     retrieval: tuple[RetrievalEvent, ...]

@@ -10,8 +10,8 @@ transcripts byte-stable everywhere.
 
 A vector with at most half of its entries non-zero, as the hash embedder
 makes them, holds only its support: the ascending indices of its non-zero
-entries and their values. Its tuple of all ``dim`` values is built only when
-read. Its norm is set when it is built.
+entries, and their values as C doubles in one ``array("d")``. Its tuple of
+all ``dim`` values is built only when read. Its norm is set when it is built.
 
 Every vector that is scored, the query and each entry, has a norm in
 [2**-400, 2**400]. The index build, the query and ``cosine_similarity``
@@ -92,9 +92,9 @@ The top k are the first k scored entries sorted by the keys
 (-score, id, position), as a full sort of every entry would rank them.
 
 Vectors and index entries never change after build. What is built on first
-use by ``cached_property`` (a vector's values, an index's postings) is a
-pure function of them, so two threads that race on a first use build equal
-copies and either serves.
+use (a vector's tuple of values, kept in a slot; an index's postings, a
+``cached_property``) is a pure function of them, so two threads that race on
+a first use build equal copies and either serves.
 
 An index holds the embedder that built it and embeds each query with it, so
 a query lands in the vector space of the entries. It also keeps a memo of
@@ -163,7 +163,11 @@ class EmbeddingVector:
     ``support`` holds ascending indices covering every non-zero entry, and
     their values. A vector with more than half of its entries non-zero keeps
     ``values``, and its support is ``range(dim)`` and ``values`` itself.
+    Otherwise the indices are a list and their values one ``array("d")``, so
+    an int entry reads back as the equal float.
     """
+
+    __slots__ = ("dim", "support", "norm", "_values")
 
     dim: int
     support: tuple[Sequence[int], Sequence[float]]
@@ -177,14 +181,16 @@ class EmbeddingVector:
         dim = len(values)
         object.__setattr__(self, "dim", dim)
         if 2 * (dim - values.count(0.0)) > dim:
-            object.__setattr__(self, "values", values)
+            object.__setattr__(self, "_values", values)
             support: tuple[Sequence[int], Sequence[float]] = (range(dim), values)
         else:
-            # Lists, not tuples: CPython keeps up to 2,000 freed tuples of each length
-            # below 20 on free lists for reuse; supports freed after each search filled
-            # them and raised the peak RSS of repeated runs by about 1 MB.
+            object.__setattr__(self, "_values", None)
+            # Values as C doubles: 8 bytes each, where a list holds a pointer to a 24-byte
+            # float. Indices in a list, whose ints below 257 CPython shares; not a tuple:
+            # CPython keeps up to 2,000 freed tuples of each length below 20 for reuse, and
+            # supports freed after each search filled them and raised peak RSS by about 1 MB.
             indices = list(compress(range(dim), values))
-            support = (indices, list(map(values.__getitem__, indices)))
+            support = (indices, array("d", map(values.__getitem__, indices)))
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "norm", _norm(support[1]))
 
@@ -202,19 +208,23 @@ class EmbeddingVector:
         _check_finite(values)
         vec = cls.__new__(cls)
         object.__setattr__(vec, "dim", dim)
-        object.__setattr__(vec, "support", (list(indices), list(values)))
+        object.__setattr__(vec, "support", (list(indices), array("d", values)))
+        object.__setattr__(vec, "_values", None)
         if 2 * len(indices) > dim:
             # More than half filled: the whole vector, as ``__init__`` keeps it.
             return cls(vec.values)
         object.__setattr__(vec, "norm", _norm(vec.support[1]))
         return vec
 
-    @cached_property
+    @property
     def values(self) -> tuple[float, ...]:
-        full = [0.0] * self.dim  # one shared 0.0 object, not a new float per entry
-        for i, v in zip(*self.support):
-            full[i] = v
-        return tuple(full)
+        """All ``dim`` entries, built from the support on first read."""
+        if self._values is None:
+            full = [0.0] * self.dim  # one shared 0.0 object, not a new float per entry
+            for i, v in zip(*self.support):
+                full[i] = v
+            object.__setattr__(self, "_values", tuple(full))
+        return self._values
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmbeddingVector):
@@ -227,8 +237,15 @@ class EmbeddingVector:
     def __repr__(self) -> str:
         return f"EmbeddingVector(values={self.values!r})"
 
+    def __reduce__(self) -> tuple[object, ...]:
+        # Copies and pickles are rebuilt by a constructor, since __setattr__ refuses every slot.
+        return (EmbeddingVector.sparse, (self.dim, *self.support))
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to {name!r}: EmbeddingVector is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: EmbeddingVector is immutable")
 
 
 class Embedder(Protocol):

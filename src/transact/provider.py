@@ -76,7 +76,7 @@ class Role(Enum):
     USER = "user"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChatMessage:
     role: Role
     content: str
@@ -86,7 +86,7 @@ class ChatMessage:
             raise ValueError(f"{self.role.value} message content must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallerInfo:
     """Who is asking: threaded through every provider call for logs and fixtures."""
 
@@ -99,7 +99,7 @@ class CallerInfo:
         return f"{self.agent}/{self.role}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProviderCall:
     """One completed provider round-trip, as recorded in the call log."""
 
@@ -108,7 +108,7 @@ class ProviderCall:
     response: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProviderConfig:
     kind: str = "scripted"  # "scripted" | "http"
     base_url: str = DEFAULT_BASE_URL
@@ -556,7 +556,7 @@ class RemoteEmbedder:
         except (KeyError, IndexError, TypeError) as e:
             raise ProviderError(f"unexpected embedding payload shape: {e}") from e
         # bool is a subclass of int, so the types are compared exactly.
-        if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
             raise ProviderError("embedding is not a JSON array of numbers")
         try:
             vec = EmbeddingVector(tuple(map(float, values)))

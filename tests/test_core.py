@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import random
 import sys
 
@@ -23,6 +24,7 @@ from helpers import (
     random_transcript,
     needs_int_digit_limit,
 )
+from transact import analysis, core, ego_agent, memory, provider
 from transact.core import (
     AgentProfile,
     CriterionScores,
@@ -728,3 +730,71 @@ def test_decision_scores_bounds():
     with pytest.raises(ValueError):  # a bool is written as true, which no reader takes back
         CriterionScores(True, 0, 0, 0)
     CriterionScores(0, 10, 5, 7)
+
+
+def _one_of_each_record(scenario, transcript) -> list:
+    """One instance of every frozen record type in ``transact``."""
+    utterance = next(u for u in transcript.utterances if u.retrieval_log)
+    event = utterance.retrieval_log[0]
+    agent = scenario.agents[0]
+    caller = provider.CallerInfo("Jordan", "Adult", 0)
+    return [
+        scenario,
+        agent,
+        agent.personas[0],
+        agent.personas[0].memories[0],
+        transcript,
+        transcript.provider,
+        utterance,
+        utterance.candidates[0],
+        utterance.decision,
+        utterance.decision.scores,
+        utterance.decision.scores.adult,
+        utterance.decision.weights,
+        event,
+        core.Violation("opening_prompt", "must be non-empty"),
+        provider.ChatMessage(provider.Role.USER, "hi"),
+        caller,
+        provider.ProviderCall(caller, (provider.ChatMessage(provider.Role.USER, "hi"),), "ok"),
+        provider.ProviderConfig(),
+        ego_agent.SearchMemories("the budget", None),
+        ego_agent.FinalAnswer("Fine.", "calm", "level"),
+        ego_agent.EgoTurnContext("Hello", (("Jordan", "Hi"),), "calm", 5, 3),
+        ego_agent.EgoTurnOutcome(utterance.candidates[0], (event,), 0),
+        analysis.detect_game_loops(analysis.ego_sequence(transcript))[0],
+        analysis.BudgetViolation(1, "Jordan", EgoState.CHILD, 6),
+    ]
+
+
+class TestRecordLayout:
+    """Every frozen record but ``MemoryIndex``, which caches its postings in its
+    ``__dict__``, keeps its fields in slots and behaves as a frozen dataclass."""
+
+    def test_every_frozen_record_but_the_index_is_slotted(self, stupid_scenario, golden_transcript):
+        frozen = {
+            obj
+            for module in (core, provider, ego_agent, analysis, memory)
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and dataclasses.is_dataclass(obj)
+            and obj.__module__ == module.__name__
+            and obj.__dataclass_params__.frozen
+        }
+        records = _one_of_each_record(stupid_scenario, golden_transcript)
+        assert {type(r) for r in records} == frozen - {memory.MemoryIndex}
+        assert all("__slots__" in vars(type(r)) for r in records)
+
+    def test_slotted_records_stay_frozen_and_copy_replace_and_pickle(
+        self, stupid_scenario, golden_transcript
+    ):
+        for record in _one_of_each_record(stupid_scenario, golden_transcript):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+            name = dataclasses.fields(record)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+            assert copy.copy(record) == record
+            assert copy.deepcopy(record) == record
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert dataclasses.replace(record) == record

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
+import types
+from array import array
 from unittest import mock
 
 import pytest
@@ -141,7 +145,7 @@ class TestCosine:
 
     def test_support_lists_a_sparse_vector_and_keeps_a_dense_one_whole(self):
         sparse = vec(0, 2, 0, -0.0, 5)
-        assert sparse.support == ([1, 4], [2.0, 5.0])
+        assert sparse.support == ([1, 4], array("d", [2.0, 5.0]))
         dense = vec(1, 2, 0, 3)
         assert dense.support == (range(4), dense.values)
         assert dense.support[1] is dense.values
@@ -152,6 +156,61 @@ class TestCosine:
             with pytest.raises(AttributeError, match=f"cannot assign to '{name}'"):
                 setattr(v, name, None)
         assert v == vec(0, 2, 0, 3)
+
+    def test_no_attribute_of_a_vector_can_be_deleted(self):
+        # Deleting the norm once succeeded, and a later search failed with a bare AttributeError.
+        v = vec(0, 2, 0, 0, 3, 0)
+        for name in ("dim", "norm", "support", "values", "_values"):
+            with pytest.raises(AttributeError, match=f"cannot delete '{name}': .* immutable"):
+                delattr(v, name)
+        assert v == vec(0, 2, 0, 0, 3, 0)
+        assert cosine_similarity(v, v) == 1.0
+
+    def test_a_vector_has_no_instance_dict(self):
+        for v in (vec(0, 2, 0, 3), vec(1, 2, 0, 3), HashEmbedder().embed("budget report")):
+            assert not hasattr(v, "__dict__")
+            v.values  # built on first read, into its slot
+            assert not hasattr(v, "__dict__")
+
+    def test_sparse_values_are_c_doubles(self):
+        for v in (
+            vec(0, 2, 0, 0, 3, 0),
+            EmbeddingVector.sparse(6, [1, 4], [2.0, 3.0]),
+            HashEmbedder().embed("budget report error"),
+        ):
+            assert type(v.support[0]) is list
+            assert type(v.support[1]) is array and v.support[1].typecode == "d"
+
+    def test_an_int_entry_reads_as_the_equal_float_and_scores_its_bits(self):
+        q = vec(0, 1, 0, 0, 1, 0, 0, 7)
+        floats = EmbeddingVector.sparse(8, [1, 4], [3.0, -4.0])
+        for ints in (
+            EmbeddingVector.sparse(8, [1, 4], [3, -4]),
+            EmbeddingVector((0, 3, 0, 0, -4, 0, 0, 0)),
+        ):
+            assert ints == floats
+            assert list(map(type, ints.support[1])) == [float, float]
+            assert ints.values == floats.values
+            assert set(map(type, ints.values)) == {float}
+            assert ints.norm.hex() == floats.norm.hex()
+            assert cosine_similarity(q, ints).hex() == cosine_similarity(q, floats).hex()
+        rows = {"a": (0, 3, 0, 0, -4, 0, 0, 0), "b": (2, 0, 0, 0, 1, 0, 0, 0), "q": q.values}
+        records = [make_record(t, EgoState.ADULT, context=t) for t in ("a", "b")]
+        hits = {}
+        for cast in (int, float):
+            table = {t: tuple(map(cast, values)) for t, values in rows.items()}
+            embedder = FixedEmbedder(table, dim=8)
+            idx = build_index(records, embedder, agent="X", ego_state=EgoState.ADULT)
+            hits[cast] = hits_hex(search_top_k(idx, "q", 2))
+        assert hits[int] == hits[float]
+
+    def test_copies_and_pickles_equal_the_vector(self):
+        for v in (vec(0, 2, 0, 0, 3, 0), vec(1, 2, 0, 3), HashEmbedder().embed("budget report")):
+            for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+                assert not hasattr(twin, "__dict__")
+                assert twin.support == v.support
+                assert twin.norm.hex() == v.norm.hex()
+                assert twin == v
 
     def test_a_vector_built_from_a_list_keeps_its_own_tuple(self):
         given = [1.0, 2.0, 3.0]
@@ -172,7 +231,7 @@ class TestCosine:
         given = EmbeddingVector.sparse(6, [1, 4], [2.0, -5.0])
         scanned = vec(0, 2, 0, 0, -5, 0)
         assert given == scanned
-        assert given.support == scanned.support == ([1, 4], [2.0, -5.0])
+        assert given.support == scanned.support == ([1, 4], array("d", [2.0, -5.0]))
         # More than half of the entries filled: the whole vector, as a scan keeps it.
         dense = EmbeddingVector.sparse(3, [0, 2], [1.0, 2.0])
         assert dense.support == (range(3), dense.values) == vec(1, 0, 2).support
@@ -203,9 +262,10 @@ class TestCosine:
             # More than half filled: the whole vector, as ``__init__`` keeps it.
             "dense": EmbeddingVector.sparse(n, range(n), values),
         }
-        assert "values" not in vars(built["sparse"])
+        assert built["sparse"]._values is None
+        # A plain slot: reading it runs no code, so each norm below was set at build.
+        assert isinstance(EmbeddingVector.norm, types.MemberDescriptorType)
         for form, v in built.items():
-            assert "norm" in vars(v), form
             assert v.norm.hex() == definition.hex(), form
 
     # Each was accepted once: [2, 2] kept the norm of both values but the
@@ -773,7 +833,7 @@ class TestLazyForms:
             search_top_k(idx, "budget report error", k)
         assert "_postings" in vars(idx)
         assert len(seen) == 28
-        assert not any("values" in vars(v) for v in seen)
+        assert all(v._values is None for v in seen)
 
     def partition(self, n: int) -> MemoryIndex:
         records = [
@@ -824,17 +884,17 @@ class TestLazyForms:
     def test_mostly_zero_values_keep_only_their_support(self):
         values = (0.0, 0.5, 0.0, 0.0, -2.0, 0.0, 0.0, 0.0)
         vec = EmbeddingVector(values)
-        assert "values" not in vars(vec)
-        assert vec.support == ([1, 4], [0.5, -2.0])
+        assert vec._values is None
+        assert vec.support == ([1, 4], array("d", [0.5, -2.0]))
         assert vec.norm == EmbeddingVector.sparse(8, [1, 4], [0.5, -2.0]).norm
-        assert "values" not in vars(vec)
+        assert vec._values is None
         assert vec == EmbeddingVector.sparse(8, [1, 4], [0.5, -2.0])
         assert vec.values == values
 
     def test_denser_values_are_their_own_support(self):
         values = (0.0, 0.5, 1.0, 0.25, -2.0)
         vec = EmbeddingVector(values)
-        assert vars(vec)["values"] is values
+        assert vec._values is values
         assert vec.support == (range(5), values)
         assert vec.support[1] is values
         assert vec == EmbeddingVector.sparse(5, [1, 2, 3, 4], [0.5, 1.0, 0.25, -2.0])
