@@ -150,10 +150,9 @@ def decide(
                 "decision_malformed", agent=agent, turn=turn, attempt=attempt, error=str(e)
             )
             logger.warning("malformed decision reply for %s turn %d: %s", agent, turn, e)
-            messages = messages + [
-                ChatMessage(Role.ASSISTANT, raw),
-                ChatMessage(Role.USER, _RETRY_NOTE),
-            ]
+            # ChatMessage refuses empty content, so an empty reply is not shown back.
+            shown = [ChatMessage(Role.ASSISTANT, raw)] if raw else []
+            messages = messages + shown + [ChatMessage(Role.USER, _RETRY_NOTE)]
     if scores is None:
         scores = _ZERO_SCORES
         rationale = FALLBACK_RATIONALE

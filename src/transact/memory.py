@@ -234,9 +234,6 @@ class EmbeddingVector:
     def __hash__(self) -> int:
         return hash(self.values)
 
-    def __repr__(self) -> str:
-        return f"EmbeddingVector(values={self.values!r})"
-
     def __reduce__(self) -> tuple[object, ...]:
         # Copies and pickles are rebuilt by a constructor, since __setattr__ refuses every slot.
         return (EmbeddingVector.sparse, (self.dim, *self.support))

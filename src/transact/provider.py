@@ -129,9 +129,10 @@ def _truncate_at_stop(text: str, stop_markers: Sequence[str]) -> str:
 class _ChatBackend:
     """What every chat backend does around its raw reply.
 
-    ``complete`` checks the messages, takes the raw reply from ``_reply``,
-    enforces ``RESPONSE_BYTE_CAP``, cuts the reply at the first stop marker
-    and appends the call to ``call_log``.
+    ``complete`` checks the messages, takes the raw reply from the subclass's
+    ``_reply(messages, stop_markers, caller)``, enforces ``RESPONSE_BYTE_CAP``,
+    cuts the reply at the first stop marker and appends the call to
+    ``call_log``.
     """
 
     kind: str
@@ -140,14 +141,6 @@ class _ChatBackend:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.call_log: list[ProviderCall] = []
-
-    def _reply(
-        self,
-        messages: Sequence[ChatMessage],
-        stop_markers: Sequence[str],
-        caller: CallerInfo | None,
-    ) -> str:
-        raise NotImplementedError
 
     def complete(
         self,

@@ -73,6 +73,17 @@ class TestValidateScenario:
         cfg = dataclasses.replace(make_scenario(), agents=(broken, make_agent("Alex")))
         violations = validate_scenario(cfg)
         assert [v.path for v in violations] == ["agents[Jordan].personas"]
+        with pytest.raises(KeyError, match="Jordan has no Adult persona"):
+            broken.persona(EgoState.ADULT)
+
+    def test_a_one_agent_scenario_has_no_other_agent(self):
+        cfg = make_scenario()
+        alone = dataclasses.replace(cfg, agents=cfg.agents[1:])
+        assert [str(v) for v in validate_scenario(alone)] == [
+            "agents: exactly 2 agents required, got 1"
+        ]
+        with pytest.raises(KeyError, match="scenario has no second agent"):
+            alone.other_agent(cfg.first_speaker)
 
     def test_unknown_first_speaker(self):
         cfg = dataclasses.replace(make_scenario(), first_speaker="Nobody")
@@ -256,6 +267,15 @@ class TestSerialization:
         for _ in range(100):
             cfg = random_scenario(rng)
             assert parse_scenario(serialize_scenario(cfg)) == cfg
+
+    def test_a_type_without_a_json_form_has_no_codec(self):
+        @dataclasses.dataclass(frozen=True)
+        class NullableIds:
+            ids: tuple[int, ...] | None
+
+        for tp in (dict[str, int], NullableIds):
+            with pytest.raises(TypeError, match="no JSON codec for"):
+                core._codec(tp)
 
     def test_score_perturbation_changes_bytes(self):
         rng = random.Random(44)

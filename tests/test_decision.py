@@ -256,33 +256,34 @@ class TestDecide:
         assert not record.human
 
     def test_one_malformed_reply_is_retried(self):
-        provider = ScriptedProvider(
-            [
-                ("Jordan/decision", "gibberish with no score lines"),
-                ("Jordan/decision", scores_reply(EgoState.PARENT)),
-            ]
-        )
-        record = decide(
-            three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", provider,
-            RunLog(),
-        )
-        assert record.chosen is EgoState.PARENT
-        retry_messages = provider.call_log[1].messages
-        assert any("missing required lines" in m.content for m in retry_messages)
+        for malformed in ("gibberish with no score lines", ""):
+            provider = ScriptedProvider(
+                [
+                    ("Jordan/decision", malformed),
+                    ("Jordan/decision", scores_reply(EgoState.PARENT)),
+                ]
+            )
+            log = RunLog()
+            record = decide(
+                three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", provider, log
+            )
+            assert record.chosen is EgoState.PARENT
+            assert log.count("decision_malformed") == 1
+            retry_messages = provider.call_log[1].messages
+            assert any("missing required lines" in m.content for m in retry_messages)
 
     def test_double_malformed_falls_back_to_adult(self, caplog):
-        provider = ScriptedProvider(
-            [
-                ("Jordan/decision", "still gibberish"),
-                ("Jordan/decision", "more gibberish"),
-            ]
-        )
-        with caplog.at_level("WARNING"):
-            record = decide(
-                three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", provider,
-                RunLog(),
-            )
-        assert record.chosen is EgoState.ADULT
-        assert record.rationale == FALLBACK_RATIONALE
-        assert record.scores == EgoScores(*[CriterionScores(0, 0, 0, 0)] * 3)
-        assert any("fallback" in r.message for r in caplog.records)
+        for replies in (("still gibberish", "more gibberish"), ("", "")):
+            provider = ScriptedProvider([("Jordan/decision", reply) for reply in replies])
+            log = RunLog()
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                record = decide(
+                    three_candidates(), (), "situation", LIFE_SCRIPT, EQUAL, "Jordan", provider,
+                    log,
+                )
+            assert record.chosen is EgoState.ADULT
+            assert log.count("decision_malformed") == 2
+            assert record.rationale == FALLBACK_RATIONALE
+            assert record.scores == EgoScores(*[CriterionScores(0, 0, 0, 0)] * 3)
+            assert any("fallback" in r.message for r in caplog.records)

@@ -211,6 +211,7 @@ class TestCosine:
                 assert twin.support == v.support
                 assert twin.norm.hex() == v.norm.hex()
                 assert twin == v
+            assert (v == "x") is False  # a vector equals only a vector
 
     def test_a_vector_built_from_a_list_keeps_its_own_tuple(self):
         given = [1.0, 2.0, 3.0]

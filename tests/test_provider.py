@@ -68,6 +68,10 @@ class TestScriptedProvider:
         with pytest.raises(ProviderError, match="at least one"):
             provider.complete([], caller=CALLER)
 
+    def test_a_message_must_have_content(self):
+        with pytest.raises(ValueError, match="user message content must be non-empty"):
+            ChatMessage(Role.USER, "")
+
     def test_caller_required(self):
         provider = ScriptedProvider([("Jordan/Child", "x")])
         with pytest.raises(ProviderError, match="caller"):
